@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import math
 from typing import Iterable, NamedTuple, Optional
 
@@ -28,9 +29,14 @@ from .errors import (
     NotSquare,
     NotUnimodular,
 )
-from .intpoly import IntPoly, factor_over_Z
+from .intpoly import IntPoly, factor_over_Z, from_power_sums, power_sums
 from .freegroup import FreeEndo, abelianization_matrix
-from .liealg import DEFAULT_WITT_CAP, induced_lie_matrix
+from .liealg import (
+    DEFAULT_WITT_CAP,
+    capped_witt_dimension,
+    induced_lie_matrix,  # unused here; perfbench/spans.py wraps this name
+    lie_power_sums,
+)
 from .zlinalg import (
     DEFAULT_SIDE_CAP,
     IntMatrix,
@@ -39,7 +45,8 @@ from .zlinalg import (
     compound_matrix,
     determinant,
     is_unimodular,
-    kronecker_power,
+    kronecker_power,  # unused here; perfbench/spans.py wraps this name
+    kronecker_side,
 )
 
 __all__ = [
@@ -399,35 +406,39 @@ class AfResult:
     nilpotent: no irreducible factor value is +-1.
     all_primes: every value is 0 (only possible for unipotent A).
     primes: distinct primes dividing every value, i.e. the radical of
-    the gcd of the nonzero values.
+    the gcd of the nonzero values; computed on first use, since it
+    needs the gcd factored.
     """
 
     nilpotent: bool
     factor_values: tuple
     all_primes: bool
-    primes: tuple[int, ...]
+
+    @functools.cached_property
+    def primes(self) -> tuple[int, ...]:
+        return () if self.all_primes else _radical(math.gcd(*self.values()))
 
     def p_finite_for(self, p: int) -> bool:
-        return self.all_primes or p in self.primes
+        """For a prime p: does p divide every factor value?"""
+        return self.all_primes or math.gcd(*self.values()) % p == 0
 
     def values(self) -> tuple[int, ...]:
         return tuple(v for _, v in self.factor_values)
+
+
+def _factor_values(f: IntPoly) -> AfResult:
+    # the factor-value criterion on the monic characteristic polynomial f
+    pairs = tuple((g, g.evaluate(1)) for g, _ in factor_over_Z(f).factors)
+    return AfResult(
+        all(abs(v) != 1 for _, v in pairs), pairs, not any(v for _, v in pairs)
+    )
 
 
 def af_criterion(A: IntMatrix) -> AfResult:
     """Residual nilpotence and p-finiteness of the abelian-fiber group
     Z^n by Z read off the irreducible factors of char(A) at 1."""
     _require_unimodular(A)
-    fac = factor_over_Z(char_poly(A))
-    pairs = tuple((f, f.evaluate(1)) for f, _ in fac.factors)
-    nilpotent = all(abs(v) != 1 for _, v in pairs)
-    nonzero = [v for _, v in pairs if v]
-    if nonzero:
-        g = 0
-        for v in nonzero:
-            g = math.gcd(g, v)
-        return AfResult(nilpotent, pairs, False, _radical(g))
-    return AfResult(nilpotent, pairs, True, ())
+    return _factor_values(char_poly(A))
 
 
 def gamma_omega_is_fiber(A: IntMatrix) -> bool:
@@ -490,6 +501,27 @@ class AuditRecord:
     af: AfResult
 
 
+def _graded_audit(
+    A: IntMatrix, K: int, p: Optional[int], component_sums
+) -> list[AuditRecord]:
+    # component_sums(f, k) lists tr(A_k^j), j = 1..dim, for the graded
+    # component A_k of degree k, from f = char(A); Newton's identities
+    # then give char(A_k) without building A_k
+    _require_unimodular(A)
+    if K < 1:
+        raise ValueError("bound K must be at least 1")
+    if p is not None and not is_prime(p):
+        raise NotPrime(f"{p} is not prime")
+    f = char_poly(A)
+    out = []
+    for k in range(1, K + 1):
+        af = _factor_values(from_power_sums(component_sums(f, k)))
+        out.append(
+            AuditRecord(k, af.nilpotent, None if p is None else af.p_finite_for(p), af)
+        )
+    return out
+
+
 def tensor_power_audit(
     A: IntMatrix,
     K: int,
@@ -497,19 +529,16 @@ def tensor_power_audit(
     side_cap: int = DEFAULT_SIDE_CAP,
 ) -> list[AuditRecord]:
     """Aschenbrenner-Friedl data for the k-fold Kronecker powers of A,
-    k = 1..K: the graded tensor components of the fiber action."""
-    _require_unimodular(A)
-    if K < 1:
-        raise ValueError("bound K must be at least 1")
-    if p is not None and not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
-    out = []
-    for k in range(1, K + 1):
-        af = af_criterion(kronecker_power(A, k, side_cap))
-        out.append(
-            AuditRecord(k, af.nilpotent, None if p is None else af.p_finite_for(p), af)
-        )
-    return out
+    k = 1..K: the graded tensor components of the fiber action.
+
+    Uses tr((A^{(x)k})^j) = tr(A^j)^k.  The side cap bounds n^k, the
+    degree of each characteristic polynomial.
+    """
+
+    def sums(f: IntPoly, k: int) -> list[int]:
+        return [t**k for t in power_sums(f, kronecker_side(A.rows, k, side_cap))]
+
+    return _graded_audit(A, K, p, sums)
 
 
 def lie_component_audit(
@@ -519,19 +548,18 @@ def lie_component_audit(
     witt_cap: int = DEFAULT_WITT_CAP,
 ) -> list[AuditRecord]:
     """Same audit on the degree-k free Lie components; a tensor pass at
-    k always implies a Lie pass at k, never the reverse."""
-    _require_unimodular(A)
-    if K < 1:
-        raise ValueError("bound K must be at least 1")
-    if p is not None and not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
-    out = []
-    for k in range(1, K + 1):
-        af = af_criterion(induced_lie_matrix(A, k, witt_cap))
-        out.append(
-            AuditRecord(k, af.nilpotent, None if p is None else af.p_finite_for(p), af)
-        )
-    return out
+    k always implies a Lie pass at k, never the reverse.
+
+    Traces come from Brandt's character formula (lie_power_sums).  The
+    Witt cap bounds the Witt dimension, the degree of each
+    characteristic polynomial.
+    """
+
+    def sums(f: IntPoly, k: int) -> list[int]:
+        dim = capped_witt_dimension(A.rows, k, witt_cap)
+        return lie_power_sums(power_sums(f, k * dim), k, dim)
+
+    return _graded_audit(A, K, p, sums)
 
 
 def _cols_matrix(n: int, cols: list) -> IntMatrix:

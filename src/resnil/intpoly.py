@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import operator
 import random
 from typing import Iterable
 
@@ -31,6 +32,8 @@ __all__ = [
     "squarefree_decomposition",
     "factor_over_Z",
     "linear_root_profile",
+    "power_sums",
+    "from_power_sums",
 ]
 
 
@@ -719,3 +722,40 @@ def linear_root_profile(p: IntPoly) -> tuple[int, int, IntPoly]:
         p = try_exact_div(p, IntPoly((1, 1)))
         m2 += 1
     return m1, m2, p
+
+
+def power_sums(p: IntPoly, m: int) -> list[int]:
+    """Power sums s_1..s_m of the roots of a monic polynomial, by
+    Newton's recurrence on its coefficients.
+
+    For p = char(A) these are the traces tr(A^j), j = 1..m.  Raises
+    NotMonic unless the leading coefficient is exactly 1.
+    """
+    if not p.is_monic():
+        raise NotMonic(f"leading coefficient is {p.leading()}, need 1")
+    n = p.degree()
+    # a[i] is the coefficient of x^(n-i)
+    a = p.coeffs[::-1]
+    out: list[int] = []
+    for j in range(1, m + 1):
+        s = j * a[j] if j <= n else 0
+        for i in range(1, min(j - 1, n) + 1):
+            s += a[i] * out[j - i - 1]
+        out.append(-s)
+    return out
+
+
+def from_power_sums(sums) -> IntPoly:
+    """The monic polynomial of degree len(sums) whose roots have power
+    sums sums[0], sums[1], ..., by Newton's identities.
+
+    Every division is exact when the sums come from an integer matrix
+    (they are then the traces of its powers); ArithmeticError otherwise.
+    """
+    a = [1]
+    for m in range(1, len(sums) + 1):
+        s = sum(map(operator.mul, a, sums[m - 1 :: -1]))
+        if s % m:
+            raise ArithmeticError(f"Newton identity at degree {m} is not exact")
+        a.append(-(s // m))
+    return IntPoly(a[::-1])

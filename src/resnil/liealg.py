@@ -24,6 +24,8 @@ __all__ = [
     "LieElement",
     "DEFAULT_WITT_CAP",
     "witt_dimension",
+    "capped_witt_dimension",
+    "lie_power_sums",
     "lyndon_basis",
     "bracket_normal_form",
     "induced_lie_matrix",
@@ -60,6 +62,32 @@ def witt_dimension(n: int, k: int) -> int:
             total += _mobius(d) * n ** (k // d)
     assert total % k == 0
     return total // k
+
+
+def capped_witt_dimension(n: int, k: int, witt_cap: int = DEFAULT_WITT_CAP) -> int:
+    """witt_dimension(n, k); raises SizeCapExceeded past the cap."""
+    dim = witt_dimension(n, k)
+    if dim > witt_cap:
+        raise SizeCapExceeded(f"Witt dimension {dim} exceeds cap {witt_cap}")
+    return dim
+
+
+def lie_power_sums(traces, k: int, count: int) -> list[int]:
+    """Traces of A^j on the degree-k free Lie component, j = 1..count,
+    from traces[i - 1] = tr(A^i) for i up to k * count.
+
+    Brandt's character formula (Brandt 1944):
+    tr(A^j | L_k) = (1/k) * sum over d | k of mobius(d) * tr(A^(jd))^(k/d).
+    At A = E it is witt_dimension.
+    """
+    terms = [(d, mu) for d in range(1, k + 1) if k % d == 0 and (mu := _mobius(d))]
+    out = []
+    for j in range(1, count + 1):
+        total = sum(mu * traces[j * d - 1] ** (k // d) for d, mu in terms)
+        if total % k:
+            raise ArithmeticError(f"Brandt sum at j={j} is not divisible by {k}")
+        out.append(total // k)
+    return out
 
 
 def _is_lyndon(w: Word) -> bool:
@@ -183,9 +211,7 @@ def lyndon_basis(n: int, k: int, witt_cap: int = DEFAULT_WITT_CAP) -> LyndonBasi
     Raises SizeCapExceeded when the Witt dimension passes the cap
     (default 512).
     """
-    dim = witt_dimension(n, k)
-    if dim > witt_cap:
-        raise SizeCapExceeded(f"Witt dimension {dim} exceeds cap {witt_cap}")
+    dim = capped_witt_dimension(n, k, witt_cap)
     words = tuple(_lyndon_words(n, k))
     assert len(words) == dim
     trees = tuple(_bracket_tree(w) for w in words)

@@ -30,6 +30,7 @@ __all__ = [
     "determinant",
     "char_poly",
     "kronecker_power",
+    "kronecker_side",
     "compound_matrix",
     "hermite_form",
     "smith_form",
@@ -241,6 +242,14 @@ def _kron(A: IntMatrix, B: IntMatrix) -> IntMatrix:
     return IntMatrix(A.rows * B.rows, A.cols * B.cols, out)
 
 
+def kronecker_side(n: int, k: int, side_cap: int = DEFAULT_SIDE_CAP) -> int:
+    """Side n^k of the k-th Kronecker power of an n x n matrix; raises
+    SizeCapExceeded past the cap."""
+    if n**k > side_cap:
+        raise SizeCapExceeded(f"Kronecker power side {n}^{k} exceeds cap {side_cap}")
+    return n**k
+
+
 def kronecker_power(M: IntMatrix, k: int, side_cap: int = DEFAULT_SIDE_CAP) -> IntMatrix:
     """k-fold Kronecker power of a square matrix.
 
@@ -251,10 +260,7 @@ def kronecker_power(M: IntMatrix, k: int, side_cap: int = DEFAULT_SIDE_CAP) -> I
         raise NotSquare("Kronecker power needs a square matrix")
     if k < 1:
         raise ValueError("Kronecker power exponent must be >= 1")
-    if M.rows**k > side_cap:
-        raise SizeCapExceeded(
-            f"Kronecker power side {M.rows}^{k} exceeds cap {side_cap}"
-        )
+    kronecker_side(M.rows, k, side_cap)
     acc = M
     for _ in range(k - 1):
         acc = _kron(acc, M)

@@ -2,11 +2,13 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import resnil
 from resnil.cli import (
     BuiltinExample,
     JobSpec,
@@ -16,8 +18,9 @@ from resnil.cli import (
     parse_matrix_literal,
     run,
 )
-from resnil.criteria import Certainty, Verdict
+from resnil.criteria import Certainty, Verdict, classify_general
 from resnil.errors import DimensionMismatch, NotPrime, WordSyntaxError
+from resnil.freegroup import abelianization_matrix, endo_power
 
 
 class TestInputParsing:
@@ -146,6 +149,32 @@ class TestJsonInterface:
         monkeypatch.setattr("sys.stdin", io.StringIO("{not json"))
         assert main(["--json"]) == 2
 
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ({"matrix": "[[2,1],[1,1]]", "cap": 2.5}, "'cap' must be an integer, got 2.5"),
+            ({"matrix": "[[2,1],[1,1]]", "tensor_bound": "3"}, "'tensor_bound' must be an integer"),
+            ({"matrix": "[[2,1],[1,1]]", "primes": ["2"]}, "'primes' must be a list of integers"),
+            ({"matrix": "[[2,1],[1,1]]", "primes": 2}, "'primes' must be a list of integers"),
+            ({"matrix": "[[2,1],[1,1]]", "power": True}, "'power' must be an integer, got True"),
+            ({"matrix": "[[2,1],[1,1]]", "power": "2"}, "'power' must be an integer"),
+            ({"endo": 5}, "'endo' must be a string"),
+            ([1, 2], "a job must be a JSON object, got list"),
+        ],
+    )
+    def test_json_field_types_checked(self, monkeypatch, capsys, doc, message):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        assert main(["--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert message in captured.err
+
+    def test_json_nulls_and_nested_matrix_accepted(self, monkeypatch, capsys):
+        doc = {"matrix": [[2, 1], [1, 1]], "tensor_bound": None, "cap": None, "primes": [5]}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        assert main(["--json"]) == 0
+
 
 class TestExitCodes:
     def test_success(self, capsys):
@@ -160,6 +189,11 @@ class TestExitCodes:
         assert main(["--endo", "a->$"]) == 2
         err = capsys.readouterr().err
         assert "offset" in err
+
+    def test_word_error_names_the_offset_once(self, capsys):
+        assert main(["--endo", "a->b; b->a(b"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: unexpected character '(' (at offset 1)\n"
 
     def test_unknown_example(self, capsys):
         assert main(["--example", "nope"]) == 2
@@ -217,6 +251,26 @@ class TestBuiltinExamples:
         )
         assert "automorphism: proven by supplied inverse" in text
 
+    @pytest.mark.parametrize("name", ["mikhailov", "mixed_signs"])
+    def test_endo_power_classified_from_the_matrix_power(self, name):
+        # abelianization is functorial, so run() powers the matrix and
+        # never composes words; the report is the one the composed
+        # endomorphism gives
+        ex = next(e for e in builtin_examples() if e.name == name)
+        endo = parse_endo_text(ex.endo)
+        for m in range(1, 9):
+            powered = endo_power(endo, m)
+            A = abelianization_matrix(powered)
+            assert abelianization_matrix(endo).power(m) == A
+            job = JobSpec(example=name, power=m, as_json=True)
+            expected = {
+                "job": job.to_dict(),
+                "matrices": [A.to_rows()],
+                "verdict": classify_general(powered).to_dict(),
+            }
+            text, _ = run(job)
+            assert text == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
     def test_unverified_automorphism_caveat(self):
         text, _ = run(JobSpec(endo="a->b; b->a b^3"))
         assert "automorphism: not verified" in text
@@ -224,10 +278,14 @@ class TestBuiltinExamples:
 
 class TestConsoleScript:
     def test_installed_entry_point(self):
+        # the child finds the package this test imported, installed or not
+        src = os.path.dirname(os.path.dirname(resnil.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         proc = subprocess.run(
             [sys.executable, "-m", "resnil.cli", "--example", "identity"],
             capture_output=True,
             text=True,
+            env=dict(os.environ, PYTHONPATH=path),
         )
         assert proc.returncode == 0
         assert "residually nilpotent: yes" in proc.stdout

@@ -2,6 +2,7 @@
 
 import math
 import random
+import signal
 
 import pytest
 
@@ -34,7 +35,15 @@ from resnil.errors import (
     SizeCapExceeded,
 )
 from resnil.freegroup import FreeEndo
-from resnil.zlinalg import IntMatrix, lattice_chain
+from resnil.intpoly import factor_over_Z, from_power_sums, power_sums
+from resnil.liealg import induced_lie_matrix, lie_power_sums, witt_dimension
+from resnil.zlinalg import (
+    IntMatrix,
+    char_poly,
+    determinant,
+    kronecker_power,
+    lattice_chain,
+)
 
 from oracles import random_unimodular
 
@@ -342,6 +351,13 @@ class TestAudits:
         with pytest.raises(SizeCapExceeded):
             tensor_power_audit(IntMatrix.identity(2), 3, side_cap=4)
 
+    def test_cap_messages_name_the_degree(self):
+        with pytest.raises(SizeCapExceeded, match=r"^Kronecker power side 3\^2 exceeds cap 8$"):
+            tensor_power_audit(IntMatrix.identity(3), 3, side_cap=8)
+        # witt_dimension(3, 3) = 8
+        with pytest.raises(SizeCapExceeded, match=r"^Witt dimension 8 exceeds cap 7$"):
+            lie_component_audit(IntMatrix.identity(3), 3, witt_cap=7)
+
     def test_requires_unimodular(self):
         with pytest.raises(NotUnimodular):
             tensor_power_audit(M([[2, 0], [0, 1]]), 2)
@@ -566,3 +582,70 @@ class TestConsistencyAcrossCriteria:
                 assert v.residually_nilpotent[0] is False
             if v.residually_nilpotent[0] is True:
                 assert v.lcs_length is LcsLength.OMEGA
+
+
+def _matrix_path(P, p):
+    """Factor values, AF bit and p bit of P = char(Mk), with Mk built."""
+    pairs = tuple((g, g.evaluate(1)) for g, _ in factor_over_Z(P).factors)
+    vals = [v for _, v in pairs]
+    p_bit = not any(vals) or p in radical(math.gcd(*vals))
+    return pairs, all(abs(v) != 1 for v in vals), p_bit
+
+
+class TestAuditsFromPowerSums:
+    """The audits build each char poly from tr(A^j); the Kronecker
+    powers and induced Lie matrices are the oracle."""
+
+    @pytest.mark.parametrize("n,K,count", [(2, 5, 4), (3, 3, 4), (4, 2, 4), (3, 4, 1)])
+    def test_char_polys_and_records_match_matrix_path(self, n, K, count):
+        rng = random.Random(4000 + 10 * n + K)
+        dets = set()
+        for i in range(count):
+            A = random_unimodular(rng, n)
+            if (determinant(A) == -1) != (i % 2 == 1):
+                A = IntMatrix(n, n, [-e for e in A.row(0)] + list(A.entries[n:]))
+            dets.add(determinant(A))
+            p = (2, 3, 5)[i % 3]
+            f = char_poly(A)
+            trecs = tensor_power_audit(A, K, p=p)
+            lrecs = lie_component_audit(A, K, p=p)
+            for k in range(1, K + 1):
+                T = char_poly(kronecker_power(A, k))
+                assert from_power_sums([t**k for t in power_sums(f, n**k)]) == T
+                L = char_poly(induced_lie_matrix(A, k))
+                dim = witt_dimension(n, k)
+                assert from_power_sums(lie_power_sums(power_sums(f, k * dim), k, dim)) == L
+                for rec, P in ((trecs[k - 1], T), (lrecs[k - 1], L)):
+                    pairs, nilpotent, p_bit = _matrix_path(P, p)
+                    assert rec.k == k
+                    assert rec.af.factor_values == pairs
+                    assert rec.af_nilpotent == nilpotent
+                    assert rec.af_p_finite == p_bit
+        assert dets == ({1, -1} if count > 1 else {1})
+
+    def test_inexact_power_sums_rejected(self):
+        # 1 and 0 are the power sums of no monic integer quadratic
+        with pytest.raises(ArithmeticError):
+            from_power_sums([1, 0])
+
+    def test_huge_prime_trace_ends(self):
+        # the audits never factor the gcd of their factor values, so a
+        # 13-digit prime in tr - 2 costs one trial division, not one per
+        # graded component
+        p = 1000000000039
+        A = companion2(1, 2 - p)
+
+        def on_alarm(signum, frame):
+            raise TimeoutError("classification did not end in 10 s")
+
+        old = signal.signal(signal.SIGALRM, on_alarm)
+        signal.alarm(10)
+        try:
+            v = classify_general(A)
+            recs = tensor_power_audit(A, 4, p=p) + lie_component_audit(A, 4, p=p)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, old)
+        assert v.proven_primes() == (p,)
+        assert all("primes" not in vars(r.af) for r in recs)
+        assert recs[0].af_p_finite
