@@ -61,6 +61,7 @@ from .criteria import (
     af_criterion,
     augmentation_power_check,
     classify_f2,
+    classify_family,
     classify_general,
     finite_index_resnil_subgroup,
     gamma_omega_is_fiber,

@@ -34,14 +34,12 @@ from .zlinalg import (
 )
 from .liealg import DEFAULT_WITT_CAP
 from .criteria import (
-    Certainty,
     LcsLength,
     Verdict,
-    augmentation_power_check,
+    augmentation_power_check,  # unused here; perfbench/spans.py wraps this name
+    classify_family as _classify_family,  # perfbench/spans.py wraps this name
     classify_general,
-    is_prime,
-    make_witness,
-    mod_p_unipotency,
+    mod_p_unipotency,  # unused here; perfbench/spans.py wraps this name
     _validated_primes,
 )
 
@@ -82,16 +80,9 @@ class JobSpec:
         object.__setattr__(self, "primes", _validated_primes(self.primes))
 
     def to_dict(self) -> dict:
-        return {
-            "matrix": self.matrix,
-            "endo": self.endo,
-            "inverse": self.inverse,
-            "example": self.example,
-            "power": self.power,
-            "tensor_bound": self.tensor_bound,
-            "primes": list(self.primes),
-            "cap": self.cap,
-        }
+        d = {name: getattr(self, name) for name in _JOB_FIELDS}
+        d["primes"] = list(self.primes)
+        return d
 
     @staticmethod
     def from_dict(d: dict, as_json: bool = False) -> "JobSpec":
@@ -99,17 +90,7 @@ class JobSpec:
         field of the wrong type."""
         if not isinstance(d, dict):
             raise ValueError(f"a job must be a JSON object, got {type(d).__name__}")
-        known = {
-            "matrix",
-            "endo",
-            "inverse",
-            "example",
-            "power",
-            "tensor_bound",
-            "primes",
-            "cap",
-        }
-        bad = set(d) - known
+        bad = set(d) - set(_JOB_FIELDS)
         if bad:
             raise ValueError(f"unknown job fields: {sorted(bad)}")
 
@@ -141,6 +122,10 @@ class JobSpec:
         )
 
 
+# the fields a JSON job carries: all but the output format
+_JOB_FIELDS = tuple(f.name for f in dataclasses.fields(JobSpec) if f.name != "as_json")
+
+
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
@@ -165,7 +150,7 @@ def parse_matrix_literal(text) -> IntMatrix:
         not isinstance(data, (list, tuple))
         or not data
         or not all(isinstance(r, (list, tuple)) for r in data)
-        or not all(isinstance(x, int) for r in data for x in r)
+        or not all(_is_int(x) for r in data for x in r)
     ):
         raise ValueError("matrix literal must be a list of rows of integers")
     return IntMatrix.from_rows([list(r) for r in data])
@@ -293,68 +278,6 @@ def _expectation_matches(ex: BuiltinExample, v: Verdict) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# family route (several commuting-action matrices, one certificate)
-
-
-def _classify_family(mats, primes) -> Verdict:
-    proven = Certainty.proven()
-    unknown = Certainty.unknown()
-    witnesses = []
-    ns = []
-    for i, B in enumerate(mats, 1):
-        N = mod_p_unipotency(B, 2)
-        ns.append(N)
-        if N is not None:
-            witnesses.append(
-                make_witness(
-                    "congruence_unipotency",
-                    f"matrix {i}: (B-E)^{N} = 0 mod 2",
-                )
-            )
-    aug = augmentation_power_check(list(mats), 2)
-    if aug is not None:
-        witnesses.append(
-            make_witness(
-                "augmentation_contraction",
-                f"augmentation power {aug} of the family lands in 2 times "
-                "the fiber lattice",
-            )
-        )
-    if aug is None or any(N is None for N in ns):
-        return Verdict(
-            (None, unknown),
-            False,
-            tuple((p, None, unknown) for p in primes),
-            LcsLength.UNKNOWN,
-            unknown,
-            tuple(witnesses)
-            + (
-                make_witness(
-                    "abelian_quotient_evidence",
-                    "family certificate incomplete; no conclusion",
-                ),
-            ),
-        )
-    witnesses.append(
-        make_witness(
-            "p_finite_implies_nilpotent",
-            "residual 2-finiteness of the family implies residual nilpotence",
-        )
-    )
-    entries = {2: (True, proven)}
-    for p in primes:
-        entries.setdefault(p, (None, unknown))
-    return Verdict(
-        (True, proven),
-        False,
-        tuple((p, v, c) for p, (v, c) in entries.items()),
-        LcsLength.UNKNOWN,
-        unknown,
-        tuple(witnesses),
-    )
-
-
-# ---------------------------------------------------------------------------
 # report rendering
 
 
@@ -432,31 +355,20 @@ def run(job: JobSpec) -> tuple[str, Verdict]:
     requested computation passes the configured caps."""
     side_cap = job.cap if job.cap is not None else DEFAULT_SIDE_CAP
     witt_cap = job.cap if job.cap is not None else DEFAULT_WITT_CAP
+    ex = _find_builtin(job.example) if job.example is not None else None
+    endo_text = job.endo if ex is None else ex.endo
+    matrix_text = job.matrix if ex is None else ex.matrix
+    family = ex is not None and bool(ex.family)
     extra: list[str] = []
 
-    name = None
-    endo_text = job.endo
-    matrix_text = job.matrix
-    inverse_text = job.inverse
-    family_texts: tuple = ()
-    if job.example is not None:
-        ex = _find_builtin(job.example)
-        name = ex.name
-        endo_text, matrix_text, family_texts = ex.endo, ex.matrix, ex.family
-
-    if family_texts:
-        mats = [
-            parse_matrix_literal(t).power(job.power) for t in family_texts
-        ]
-        verdict = _classify_family(mats, job.primes)
-        source = f"example {name} (family of {len(mats)} action matrices)"
-        if job.power > 1:
-            source += f", power {job.power}"
+    if family:
+        mats = [parse_matrix_literal(t).power(job.power) for t in ex.family]
+        source = f"family of {len(mats)} action matrices"
     elif endo_text is not None:
         endo = parse_endo_text(endo_text)
         status = AutoStatus.ABELIANIZED_UNIMODULAR_ONLY
-        if inverse_text is not None:
-            inv = parse_endo_text(inverse_text)
+        if job.inverse is not None:
+            inv = parse_endo_text(job.inverse)
             status = check_automorphism(endo, inv)
             if status is AutoStatus.PROVEN_NOT_AUTO:
                 raise ValueError(
@@ -464,20 +376,8 @@ def run(job: JobSpec) -> tuple[str, Verdict]:
                 )
         # abelianization is functorial: the power of the matrix is the
         # matrix of the power, without composing words
-        A = abelianization_matrix(endo).power(job.power)
-        verdict = classify_general(
-            A,
-            tensor_bound=job.tensor_bound,
-            primes=job.primes,
-            side_cap=side_cap,
-            witt_cap=witt_cap,
-        )
-        mats = [A]
+        mats = [abelianization_matrix(endo).power(job.power)]
         source = f"endomorphism {endo}"
-        if name:
-            source = f"example {name}: {source}"
-        if job.power > 1:
-            source += f", power {job.power}"
         if status is AutoStatus.PROVEN_AUTO:
             extra.append("automorphism: proven by supplied inverse")
         else:
@@ -486,23 +386,27 @@ def run(job: JobSpec) -> tuple[str, Verdict]:
                 "for unimodularity only)"
             )
     else:
-        A = parse_matrix_literal(matrix_text).power(job.power)
+        mats = [parse_matrix_literal(matrix_text).power(job.power)]
+        source = f"matrix {matrix_text}"
+    if family:
+        source = f"example {ex.name} ({source})"
+    elif ex is not None:
+        source = f"example {ex.name}: {source}"
+    if job.power > 1:
+        source += f", power {job.power}"
+
+    if family:
+        verdict = _classify_family(mats, job.primes)
+    else:
         verdict = classify_general(
-            A,
+            mats[0],
             tensor_bound=job.tensor_bound,
             primes=job.primes,
             side_cap=side_cap,
             witt_cap=witt_cap,
         )
-        mats = [A]
-        source = f"matrix {matrix_text}"
-        if name:
-            source = f"example {name}: {source}"
-        if job.power > 1:
-            source += f", power {job.power}"
 
-    if name is not None and job.power == 1:
-        ex = _find_builtin(name)
+    if ex is not None and job.power == 1:
         ok = _expectation_matches(ex, verdict)
         extra.append(f"builtin expectation check: {'ok' if ok else 'MISMATCH'}")
 

@@ -59,7 +59,6 @@ __all__ = [
     "AfResult",
     "AuditRecord",
     "SubgroupReport",
-    "DEFAULT_TEST_PRIMES",
     "af_criterion",
     "gamma_omega_is_fiber",
     "integer_eigenvalue_criterion",
@@ -71,10 +70,9 @@ __all__ = [
     "classify_f2",
     "finite_index_resnil_subgroup",
     "classify_general",
+    "classify_family",
     "is_prime",
 ]
-
-DEFAULT_TEST_PRIMES = (2, 3, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -887,8 +885,9 @@ def classify_general(
                 )
             )
 
-    candidates = sorted(set(req) | set(DEFAULT_TEST_PRIMES) | set(af.primes))
-    for p in candidates:
+    # (A-E)^N = 0 mod p makes char(A) = (x-1)^n mod p, so p divides every
+    # factor value at 1: every prime with a certificate is in af.primes
+    for p in af.primes:
         if all_flag or p in entries:
             continue
         N = mod_p_unipotency(A, p)
@@ -941,5 +940,73 @@ def classify_general(
         tuple((p, v, c) for p, (v, c) in entries.items()),
         lcs,
         lc,
+        tuple(witnesses),
+    )
+
+
+def classify_family(mats: Iterable[IntMatrix], primes: Iterable[int] = ()) -> Verdict:
+    """Classifier for a fiber acted on by a family of commuting
+    matrices, from a certificate at the prime 2.
+
+    Every matrix unipotent mod 2 and the family's augmentation powers
+    landing in 2 times the fiber lattice prove residual 2-finiteness,
+    hence residual nilpotence; otherwise nothing is concluded.
+    Requested primes other than 2 are reported unknown.
+    """
+    req = _validated_primes(primes)
+    mats = list(mats)
+    proven = Certainty.proven()
+    unknown = Certainty.unknown()
+    witnesses = []
+    ns = []
+    for i, B in enumerate(mats, 1):
+        N = mod_p_unipotency(B, 2)
+        ns.append(N)
+        if N is not None:
+            witnesses.append(
+                make_witness(
+                    "congruence_unipotency",
+                    f"matrix {i}: (B-E)^{N} = 0 mod 2",
+                )
+            )
+    aug = augmentation_power_check(mats, 2)
+    if aug is not None:
+        witnesses.append(
+            make_witness(
+                "augmentation_contraction",
+                f"augmentation power {aug} of the family lands in 2 times "
+                "the fiber lattice",
+            )
+        )
+    if aug is None or any(N is None for N in ns):
+        return Verdict(
+            (None, unknown),
+            False,
+            tuple((p, None, unknown) for p in req),
+            LcsLength.UNKNOWN,
+            unknown,
+            tuple(witnesses)
+            + (
+                make_witness(
+                    "abelian_quotient_evidence",
+                    "family certificate incomplete; no conclusion",
+                ),
+            ),
+        )
+    witnesses.append(
+        make_witness(
+            "p_finite_implies_nilpotent",
+            "residual 2-finiteness of the family implies residual nilpotence",
+        )
+    )
+    entries = {2: (True, proven)}
+    for p in req:
+        entries.setdefault(p, (None, unknown))
+    return Verdict(
+        (True, proven),
+        False,
+        tuple((p, v, c) for p, (v, c) in entries.items()),
+        LcsLength.UNKNOWN,
+        unknown,
         tuple(witnesses),
     )

@@ -355,15 +355,16 @@ class FactorizationZ:
 
 
 # ---------------------------------------------------------------------------
-# arithmetic mod a prime (coefficient lists, little-endian, entries in [0, p))
+# arithmetic over Z/m (coefficient lists, little-endian, entries in [0, m));
+# m is a prime while factoring mod p and a power of it while Hensel lifting
 
 
-def _ptrim(a: list[int]) -> list[int]:
+def _trim(a: list[int]) -> list[int]:
     while a and a[-1] == 0:
         a.pop()
     return a
 
-def _pmul(a: list[int], b: list[int], p: int) -> list[int]:
+def _mul(a: list[int], b: list[int], m: int) -> list[int]:
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
@@ -371,45 +372,59 @@ def _pmul(a: list[int], b: list[int], p: int) -> list[int]:
         if x:
             for j, y in enumerate(b):
                 out[i + j] += x * y
-    return _ptrim([c % p for c in out])
+    return _trim([c % m for c in out])
 
-def _pdivmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    # b nonzero; works modulo the prime p
-    inv = pow(b[-1], -1, p)
-    rem = [c % p for c in a]
-    _ptrim(rem)
+def _add(a: list[int], b: list[int], m: int) -> list[int]:
+    return _trim([(x + y) % m for x, y in itertools.zip_longest(a, b, fillvalue=0)])
+
+def _sub(a: list[int], b: list[int], m: int) -> list[int]:
+    return _trim([(x - y) % m for x, y in itertools.zip_longest(a, b, fillvalue=0)])
+
+def _divmod(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int]]:
+    # b nonzero with leading coefficient invertible mod m (any b mod a
+    # prime, a monic b mod a prime power)
+    inv = pow(b[-1], -1, m)
+    rem = [c % m for c in a]
+    _trim(rem)
     if len(rem) < len(b):
         return [], rem
     q = [0] * (len(rem) - len(b) + 1)
     for i in range(len(q) - 1, -1, -1):
         if len(rem) < len(b) + i:
             continue
-        c = (rem[len(b) - 1 + i] * inv) % p
+        c = (rem[len(b) - 1 + i] * inv) % m
         if c == 0:
             continue
         q[i] = c
         for j, y in enumerate(b):
-            rem[i + j] = (rem[i + j] - c * y) % p
-        _ptrim(rem)
-    return _ptrim(q), rem
+            rem[i + j] = (rem[i + j] - c * y) % m
+        _trim(rem)
+    return _trim(q), rem
+
+def _monic(a: list[int], p: int) -> list[int]:
+    # a nonzero mod the prime p
+    inv = pow(a[-1], -1, p)
+    return [(c * inv) % p for c in a]
+
+
+# ---------------------------------------------------------------------------
+# factoring mod a prime
+
 
 def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a = _ptrim([c % p for c in a])
-    b = _ptrim([c % p for c in b])
+    a = _trim([c % p for c in a])
+    b = _trim([c % p for c in b])
     while b:
-        a, b = b, _pdivmod(a, b, p)[1]
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [(c * inv) % p for c in a]
-    return a
+        a, b = b, _divmod(a, b, p)[1]
+    return _monic(a, p) if a else a
 
 def _ppowmod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
     out = [1]
-    base = _pdivmod(base, mod, p)[1]
+    base = _divmod(base, mod, p)[1]
     while e:
         if e & 1:
-            out = _pdivmod(_pmul(out, base, p), mod, p)[1]
-        base = _pdivmod(_pmul(base, base, p), mod, p)[1]
+            out = _divmod(_mul(out, base, p), mod, p)[1]
+        base = _divmod(_mul(base, base, p), mod, p)[1]
         e >>= 1
     return out
 
@@ -423,11 +438,11 @@ def _distinct_degree(h: list[int], p: int) -> list[tuple[list[int], int]]:
     while len(v) - 1 >= 2 * (d + 1):
         d += 1
         w = _ppowmod(w, p, v, p)
-        g = _pgcd([(a - b) % p for a, b in itertools.zip_longest(w, [0, 1], fillvalue=0)], v, p)
+        g = _pgcd(_sub(w, [0, 1], p), v, p)
         if len(g) > 1:
             out.append((g, d))
-            v = _pdivmod(v, g, p)[0]
-            w = _pdivmod(w, v, p)[1]
+            v = _divmod(v, g, p)[0]
+            w = _divmod(w, v, p)[1]
     if len(v) > 1:
         out.append((v, len(v) - 1))
     return out
@@ -441,7 +456,7 @@ def _equal_degree(g: list[int], d: int, p: int, rng: random.Random) -> list[list
     e = (p**d - 1) // 2
     while True:
         a = [rng.randrange(p) for _ in range(n)]
-        _ptrim(a)
+        _trim(a)
         if len(a) <= 1:
             continue
         c = _pgcd(a, g, p)
@@ -451,17 +466,15 @@ def _equal_degree(g: list[int], d: int, p: int, rng: random.Random) -> list[list
             b = _ppowmod(a, e, g, p)
             b = b[:]
             b[0:1] = [(b[0] - 1) % p if b else (-1) % p]
-            split = _pgcd(_ptrim(b), g, p)
+            split = _pgcd(_trim(b), g, p)
             if not (1 < len(split) < len(g)):
                 continue
-        rest = _pdivmod(g, split, p)[0]
+        rest = _divmod(g, split, p)[0]
         return _equal_degree(split, d, p, rng) + _equal_degree(rest, d, p, rng)
 
 
 def _factor_mod_p(h: IntPoly, p: int) -> list[list[int]]:
-    hp = _ptrim([c % p for c in h.coeffs])
-    inv = pow(hp[-1], -1, p)
-    hp = [(c * inv) % p for c in hp]
+    hp = _monic(_trim([c % p for c in h.coeffs]), p)
     rng = random.Random(0xC0FFEE + p)
     out = []
     for g, d in _distinct_degree(hp, p):
@@ -470,48 +483,7 @@ def _factor_mod_p(h: IntPoly, p: int) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# Hensel lifting (coefficient lists, entries in [0, m))
-
-
-def _mtrim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-def _mmul(a: list[int], b: list[int], m: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _mtrim([c % m for c in out])
-
-def _madd(a: list[int], b: list[int], m: int) -> list[int]:
-    return _mtrim([(x + y) % m for x, y in itertools.zip_longest(a, b, fillvalue=0)])
-
-def _msub(a: list[int], b: list[int], m: int) -> list[int]:
-    return _mtrim([(x - y) % m for x, y in itertools.zip_longest(a, b, fillvalue=0)])
-
-def _mdivmod_monic(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int]]:
-    # b monic; synthetic division works over Z/m without inverses
-    rem = [c % m for c in a]
-    _mtrim(rem)
-    if len(rem) < len(b):
-        return [], rem
-    q = [0] * (len(rem) - len(b) + 1)
-    for i in range(len(q) - 1, -1, -1):
-        if len(rem) < len(b) + i:
-            continue
-        c = rem[len(b) - 1 + i] % m
-        if c == 0:
-            continue
-        q[i] = c
-        for j, y in enumerate(b):
-            rem[i + j] = (rem[i + j] - c * y) % m
-        _mtrim(rem)
-    return _mtrim(q), rem
+# Hensel lifting
 
 
 def _bezout_mod_p(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
@@ -520,15 +492,15 @@ def _bezout_mod_p(a: list[int], b: list[int], p: int) -> tuple[list[int], list[i
     s0, s1 = [1], []
     t0, t1 = [], [1]
     while r1:
-        q, r = _pdivmod(r0, r1, p)
+        q, r = _divmod(r0, r1, p)
         r0, r1 = r1, r
-        s0, s1 = s1, _ptrim([(x - y) % p for x, y in itertools.zip_longest(s0, _pmul(q, s1, p), fillvalue=0)])
-        t0, t1 = t1, _ptrim([(x - y) % p for x, y in itertools.zip_longest(t0, _pmul(q, t1, p), fillvalue=0)])
+        s0, s1 = s1, _sub(s0, _mul(q, s1, p), p)
+        t0, t1 = t1, _sub(t0, _mul(q, t1, p), p)
     assert len(r0) == 1, "factors not coprime mod p"
     inv = pow(r0[0], -1, p)
     s = [(c * inv) % p for c in s0]
     t = [(c * inv) % p for c in t0]
-    return _ptrim(s), _ptrim(t)
+    return _trim(s), _trim(t)
 
 
 def _hensel_pair(f: list[int], g: list[int], h: list[int],
@@ -540,14 +512,14 @@ def _hensel_pair(f: list[int], g: list[int], h: list[int],
     m = p
     while m < target:
         m2 = m * m
-        e = _msub(f, _mmul(g, h, m2), m2)
-        q, r = _mdivmod_monic(_mmul(s, e, m2), h, m2)
-        g = _madd(g, _madd(_mmul(t, e, m2), _mmul(q, g, m2), m2), m2)
-        h = _madd(h, r, m2)
-        b = _msub(_madd(_mmul(s, g, m2), _mmul(t, h, m2), m2), [1], m2)
-        c, d = _mdivmod_monic(_mmul(s, b, m2), h, m2)
-        s = _msub(s, d, m2)
-        t = _msub(t, _madd(_mmul(t, b, m2), _mmul(c, g, m2), m2), m2)
+        e = _sub(f, _mul(g, h, m2), m2)
+        q, r = _divmod(_mul(s, e, m2), h, m2)
+        g = _add(g, _add(_mul(t, e, m2), _mul(q, g, m2), m2), m2)
+        h = _add(h, r, m2)
+        b = _sub(_add(_mul(s, g, m2), _mul(t, h, m2), m2), [1], m2)
+        c, d = _divmod(_mul(s, b, m2), h, m2)
+        s = _sub(s, d, m2)
+        t = _sub(t, _add(_mul(t, b, m2), _mul(c, g, m2), m2), m2)
         m = m2
     return g, h, m
 
@@ -560,10 +532,10 @@ def _hensel_tree(f: list[int], facs: list[list[int]], p: int, target: int) -> li
     left, right = facs[:half], facs[half:]
     gl = [1]
     for a in left:
-        gl = _pmul(gl, a, p)
+        gl = _mul(gl, a, p)
     gr = [1]
     for a in right:
-        gr = _pmul(gr, a, p)
+        gr = _mul(gr, a, p)
     s, t = _bezout_mod_p(gl, gr, p)
     g, h, m = _hensel_pair(f, gl, gr, s, t, p, target)
     g = [c % target for c in g]
@@ -595,10 +567,10 @@ def _factor_monic_squarefree(h: IntPoly) -> list[IntPoly]:
     best = None
     tried = 0
     for p in _primes_from(3):
-        hp = _ptrim([c % p for c in h.coeffs])
+        hp = _trim([c % p for c in h.coeffs])
         if len(hp) - 1 != deg:
             continue
-        if len(_pgcd(hp, _ptrim([(i * c) % p for i, c in enumerate(h.coeffs)][1:]), p)) != 1:
+        if len(_pgcd(hp, _trim([(i * c) % p for i, c in enumerate(h.coeffs)][1:]), p)) != 1:
             continue
         facs = _factor_mod_p(h, p)
         tried += 1
@@ -635,7 +607,7 @@ def _factor_monic_squarefree(h: IntPoly) -> list[IntPoly]:
                 continue
             prod = [1]
             for i in idxs:
-                prod = _mmul(prod, pool[i], target)
+                prod = _mul(prod, pool[i], target)
             cand = IntPoly(_symmetric(x, target) for x in prod)
             q = try_exact_div(rem, cand)
             if q is not None:

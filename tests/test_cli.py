@@ -195,6 +195,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "error: unexpected character '(' (at offset 1)\n"
 
+    def test_boolean_matrix_entries_rejected(self, monkeypatch, capsys):
+        # bool is an int subclass; True must not pass for the entry 1
+        doc = {"matrix": [[True, 1], [0, 1]]}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        assert main(["--json"]) == 2
+        assert main(["--matrix", "[[True,1],[0,1]]"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == 2 * "error: matrix literal must be a list of rows of integers\n"
+
     def test_unknown_example(self, capsys):
         assert main(["--example", "nope"]) == 2
         assert "available" in capsys.readouterr().err

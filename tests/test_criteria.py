@@ -16,6 +16,7 @@ from resnil.criteria import (
     af_criterion,
     augmentation_power_check,
     classify_f2,
+    classify_family,
     classify_general,
     finite_index_resnil_subgroup,
     gamma_omega_is_fiber,
@@ -546,6 +547,33 @@ class TestClassifyGeneral:
         assert v.residually_nilpotent == (False, Certainty.proven())
         assert v.lcs_length is LcsLength.OMEGA_SQUARED
 
+    def test_proven_primes_are_the_content_primes(self):
+        # (A-E) is nilpotent mod p exactly when p divides every entry of
+        # (A-E)^n, so the proven primes are those of its content
+        rng = random.Random(239)
+        hits = 0
+        for i in range(40):
+            n = 3 + i % 3
+            A = random_unimodular(rng, n)
+            if i % 2:
+                # unitriangular times a matrix = E mod q: unipotent mod q
+                q = rng.choice((2, 3, 5, 7))
+                rows = [[int(r == c) for c in range(n)] for r in range(n)]
+                for _ in range(4):
+                    r, c = rng.sample(range(n), 2)
+                    k = q * rng.choice((-2, -1, 1, 2))
+                    rows[r] = [x + k * y for x, y in zip(rows[r], rows[c])]
+                U = M([[rng.randint(-2, 2) if c > r else int(r == c) for c in range(n)]
+                       for r in range(n)])
+                A = U * M(rows)
+            content = math.gcd(*A.minus_identity().power(n).entries)
+            v = classify_general(A, tensor_bound=1)
+            if v.p_finite_all_primes:
+                continue
+            assert v.proven_primes() == radical(content), A.to_rows()
+            hits += bool(v.proven_primes())
+        assert hits >= 10
+
     def test_every_claim_carries_a_witness_anchor(self):
         rng = random.Random(223)
         for _ in range(15):
@@ -555,6 +583,52 @@ class TestClassifyGeneral:
             for w in v.witnesses:
                 assert w.anchor == ANCHORS[w.criterion]
                 assert w.evidence
+
+
+class TestClassifyFamily:
+    KLEIN = [M([[1, 0], [-2, 1]]), M([[-1, 0], [2, 1]])]
+
+    def test_klein_pair_proves_two(self):
+        v = classify_family(self.KLEIN)
+        assert v.residually_nilpotent == (True, Certainty.proven())
+        assert v.residually_p_finite == ((2, True, Certainty.proven()),)
+        assert not v.p_finite_all_primes
+        assert v.lcs_length is LcsLength.UNKNOWN
+        assert [(w.criterion, w.evidence) for w in v.witnesses] == [
+            ("congruence_unipotency", "matrix 1: (B-E)^1 = 0 mod 2"),
+            ("congruence_unipotency", "matrix 2: (B-E)^1 = 0 mod 2"),
+            (
+                "augmentation_contraction",
+                "augmentation power 1 of the family lands in 2 times the "
+                "fiber lattice",
+            ),
+            (
+                "p_finite_implies_nilpotent",
+                "residual 2-finiteness of the family implies residual "
+                "nilpotence",
+            ),
+        ]
+
+    def test_member_not_unipotent_mod_two_decides_nothing(self):
+        v = classify_family([self.KLEIN[0], M([[1, 1], [-1, 0]])], primes=(2,))
+        assert v.residually_nilpotent == (None, Certainty.unknown())
+        assert v.residually_p_finite == ((2, None, Certainty.unknown()),)
+        assert v.witnesses[-1].criterion == "abelian_quotient_evidence"
+        assert v.witnesses[-1].evidence == (
+            "family certificate incomplete; no conclusion"
+        )
+
+    def test_other_requested_primes_stay_unknown(self):
+        v = classify_family(self.KLEIN, primes=(5, 2, 3))
+        assert v.p_finite_map() == {
+            2: (True, Certainty.proven()),
+            3: (None, Certainty.unknown()),
+            5: (None, Certainty.unknown()),
+        }
+
+    def test_non_prime_rejected(self):
+        with pytest.raises(NotPrime):
+            classify_family(self.KLEIN, primes=(2, 9))
 
 
 class TestConsistencyAcrossCriteria:
