@@ -47,6 +47,7 @@ from .liealg import (
     bracket_normal_form,
     induced_lie_matrix,
     lyndon_basis,
+    lyndon_count,
     witt_dimension,
 )
 from .criteria import (
@@ -73,6 +74,17 @@ from .criteria import (
     mod_p_unipotency,
     tensor_power_audit,
 )
-from .cli import BuiltinExample, JobSpec, builtin_examples, run
 
 __version__ = "0.1.0"
+
+_CLI_NAMES = ("BuiltinExample", "JobSpec", "builtin_examples", "run")
+
+
+def __getattr__(name):
+    # cli loads on first use: imported here eagerly, it would already be
+    # in sys.modules when `python -m resnil.cli` runs it as __main__
+    if name in _CLI_NAMES:
+        from . import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

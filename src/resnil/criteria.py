@@ -35,8 +35,9 @@ from .liealg import (
     DEFAULT_WITT_CAP,
     capped_witt_dimension,
     induced_lie_matrix,  # unused here; perfbench/spans.py wraps this name
-    lie_power_sums,
+    lyndon_count,
 )
+from .primes import is_prime, prime_divisors
 from .zlinalg import (
     DEFAULT_SIDE_CAP,
     IntMatrix,
@@ -76,50 +77,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# small number theory helpers
-
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def is_prime(p: int) -> bool:
-    """Deterministic Miller-Rabin, exact for inputs below 3.3e24."""
-    if p < 2:
-        return False
-    for q in _MR_BASES:
-        if p % q == 0:
-            return p == q
-    d = p - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_BASES:
-        x = pow(a, d, p)
-        if x in (1, p - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % p
-            if x == p - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _radical(m: int) -> tuple[int, ...]:
-    # distinct prime factors of |m|, ascending
-    m = abs(m)
-    out = []
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            out.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1 if d == 2 else 2
-    if m > 1:
-        out.append(m)
-    return tuple(out)
+# input checks
 
 
 def _validated_primes(primes: Iterable[int]) -> tuple[int, ...]:
@@ -414,7 +372,7 @@ class AfResult:
 
     @functools.cached_property
     def primes(self) -> tuple[int, ...]:
-        return () if self.all_primes else _radical(math.gcd(*self.values()))
+        return () if self.all_primes else prime_divisors(math.gcd(*self.values()))
 
     def p_finite_for(self, p: int) -> bool:
         """For a prime p: does p divide every factor value?"""
@@ -424,19 +382,137 @@ class AfResult:
         return tuple(v for _, v in self.factor_values)
 
 
-def _factor_values(f: IntPoly) -> AfResult:
-    # the factor-value criterion on the monic characteristic polynomial f
-    pairs = tuple((g, g.evaluate(1)) for g, _ in factor_over_Z(f).factors)
+def _factor_values(irreducibles: Iterable[IntPoly]) -> AfResult:
+    # the factor-value criterion on a set of monic irreducible factors
+    pairs = tuple(
+        (g, g.evaluate(1)) for g in sorted(irreducibles, key=IntPoly.sort_key)
+    )
     return AfResult(
         all(abs(v) != 1 for _, v in pairs), pairs, not any(v for _, v in pairs)
     )
+
+
+def _set_partitions(items: tuple):
+    # every set partition of items, as a list of blocks
+    if not items:
+        yield []
+        return
+    first = items[0]
+    for rest in _set_partitions(items[1:]):
+        yield [(first,)] + rest
+        for i, block in enumerate(rest):
+            yield rest[:i] + [(first,) + block] + rest[i + 1 :]
+
+
+class _OrbitType(NamedTuple):
+    terms: tuple
+    symmetry: int
+    in_lie: bool
+
+
+@functools.lru_cache(maxsize=512)
+def _orbit_type(mu: tuple[int, ...]) -> _OrbitType:
+    """Power-sum terms, symmetry and Lie membership of the orbit type
+    mu, a partition of k.
+
+    The power sums of P_mu come from the traces t_s = tr(A^s) by Moebius
+    inversion on the set partitions pi of the parts (Doubilet 1972):
+    p_j(P_mu) = (1/symmetry) * sum over pi of prod over blocks B of
+    (-1)^(|B|-1) (|B|-1)! t_(j * sum of mu over B).  terms lists
+    (coefficient, block sums) with equal block sums collected;
+    symmetry = prod m_i!, m_i the number of parts of each size; in_lie
+    tells whether L_k has a Lyndon word of content mu.
+    """
+    terms: dict[tuple, int] = {}
+    for blocks in _set_partitions(tuple(range(len(mu)))):
+        coeff = 1
+        for B in blocks:
+            coeff *= (-1) ** (len(B) - 1) * math.factorial(len(B) - 1)
+        sums = tuple(sorted(sum(mu[r] for r in B) for B in blocks))
+        terms[sums] = terms.get(sums, 0) + coeff
+    symmetry = math.prod(math.factorial(mu.count(c)) for c in set(mu))
+    return _OrbitType(
+        tuple((c, sums) for sums, c in terms.items() if c),
+        symmetry,
+        lyndon_count(mu) > 0,
+    )
+
+
+def _partitions(k: int, parts: int, largest: Optional[int] = None):
+    # partitions of k into at most `parts` parts, parts non-increasing
+    largest = k if largest is None else largest
+    if k == 0:
+        yield ()
+        return
+    if parts == 0:
+        return
+    for first in range(min(k, largest), 0, -1):
+        for rest in _partitions(k - first, parts - 1, first):
+            yield (first,) + rest
+
+
+class _GradedFactors:
+    """Irreducible factors of the graded components of the action of A,
+    by orbit type.  One instance lives for one classification.
+
+    The roots of char(A^{(x)k}) are the products of k eigenvalues of A.
+    Grouped by exponent pattern, a partition mu of k into at most n
+    parts, they give one polynomial P_mu per orbit type: its roots are
+    the monomials prod_r a_(i_r)^(mu_r) over injective index tuples, up
+    to permuting equal parts, so its degree is
+    n! / ((n - len(mu))! prod m_i!).  Then
+    char(A^{(x)k}) = prod over mu of P_mu^(k! / prod mu_r!) and
+    char(A | L_k) = prod over mu of P_mu^lyndon_count(mu) (Witt; see
+    Reutenauer, Free Lie Algebras, 1993), so the irreducible factors of
+    a level are those of its P_mu.  Each P_mu is factored once, and the
+    tensor and Lie levels share it; P_(1) = char(A).
+    """
+
+    def __init__(self, A: IntMatrix):
+        self.n = A.rows
+        self.char = char_poly(A)
+        self._traces: list[int] = []
+        self._irreducibles: dict[tuple, tuple[IntPoly, ...]] = {}
+
+    def irreducibles(self, mu: tuple[int, ...]) -> tuple[IntPoly, ...]:
+        """The distinct monic irreducible factors of P_mu."""
+        if mu not in self._irreducibles:
+            self._irreducibles[mu] = tuple(
+                g for g, _ in factor_over_Z(self._orbit_poly(mu)).factors
+            )
+        return self._irreducibles[mu]
+
+    def _orbit_poly(self, mu: tuple[int, ...]) -> IntPoly:
+        terms, symmetry, _ = _orbit_type(mu)
+        degree = math.perm(self.n, len(mu)) // symmetry
+        need = degree * sum(mu)
+        if len(self._traces) < need:
+            self._traces = power_sums(self.char, need)
+        t = self._traces
+        sums = []
+        for j in range(1, degree + 1):
+            total = sum(c * math.prod(t[j * s - 1] for s in ss) for c, ss in terms)
+            if total % symmetry:
+                raise ArithmeticError(
+                    f"orbit power sum of {mu} at j={j} is not divisible by {symmetry}"
+                )
+            sums.append(total // symmetry)
+        return from_power_sums(sums)
+
+    def level(self, k: int, lie: bool) -> AfResult:
+        """Factor values of the tensor level k, or with lie of L_k."""
+        found: set[IntPoly] = set()
+        for mu in _partitions(k, self.n):
+            if not lie or _orbit_type(mu).in_lie:
+                found.update(self.irreducibles(mu))
+        return _factor_values(found)
 
 
 def af_criterion(A: IntMatrix) -> AfResult:
     """Residual nilpotence and p-finiteness of the abelian-fiber group
     Z^n by Z read off the irreducible factors of char(A) at 1."""
     _require_unimodular(A)
-    return _factor_values(char_poly(A))
+    return _GradedFactors(A).level(1, lie=False)
 
 
 def gamma_omega_is_fiber(A: IntMatrix) -> bool:
@@ -446,17 +522,20 @@ def gamma_omega_is_fiber(A: IntMatrix) -> bool:
     return is_unimodular(A.minus_identity())
 
 
+def _integer_spectrum(irreducibles: tuple[IntPoly, ...]):
+    if any(f.degree() > 1 for f in irreducibles):
+        return None
+    roots = [-f.constant() for f in irreducibles]
+    assert all(r in (1, -1) for r in roots)
+    return (all(r == 1 for r in roots), any(r == -1 for r in roots))
+
+
 def integer_eigenvalue_criterion(A: IntMatrix):
     """None when char(A) has a nonlinear irreducible factor; otherwise
     (all_plus_one, has_minus_one).  All eigenvalues +1 gives residual
     p-finiteness for every prime; a -1 gives residual 2-finiteness."""
     _require_unimodular(A)
-    fac = factor_over_Z(char_poly(A))
-    if any(f.degree() > 1 for f, _ in fac.factors):
-        return None
-    roots = [-f.constant() for f, _ in fac.factors]
-    assert all(r in (1, -1) for r in roots)
-    return (all(r == 1 for r in roots), any(r == -1 for r in roots))
+    return _integer_spectrum(_GradedFactors(A).irreducibles((1,)))
 
 
 def mod_p_unipotency(A: IntMatrix, p: int) -> Optional[int]:
@@ -499,25 +578,38 @@ class AuditRecord:
     af: AfResult
 
 
-def _graded_audit(
-    A: IntMatrix, K: int, p: Optional[int], component_sums
+# the caps bound n^k and the Witt dimension at every level; the audits
+# check them before any work, tensor levels before Lie levels
+
+
+def _check_tensor_cap(n: int, K: int, side_cap: int) -> None:
+    for k in range(1, K + 1):
+        kronecker_side(n, k, side_cap)
+
+
+def _check_lie_cap(n: int, K: int, witt_cap: int) -> None:
+    for k in range(1, K + 1):
+        capped_witt_dimension(n, k, witt_cap)
+
+
+def _audit_levels(
+    graded: _GradedFactors, K: int, p: Optional[int], lie: bool
 ) -> list[AuditRecord]:
-    # component_sums(f, k) lists tr(A_k^j), j = 1..dim, for the graded
-    # component A_k of degree k, from f = char(A); Newton's identities
-    # then give char(A_k) without building A_k
+    out = []
+    for k in range(1, K + 1):
+        af = graded.level(k, lie)
+        out.append(
+            AuditRecord(k, af.nilpotent, None if p is None else af.p_finite_for(p), af)
+        )
+    return out
+
+
+def _check_audit_input(A: IntMatrix, K: int, p: Optional[int]) -> None:
     _require_unimodular(A)
     if K < 1:
         raise ValueError("bound K must be at least 1")
     if p is not None and not is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    f = char_poly(A)
-    out = []
-    for k in range(1, K + 1):
-        af = _factor_values(from_power_sums(component_sums(f, k)))
-        out.append(
-            AuditRecord(k, af.nilpotent, None if p is None else af.p_finite_for(p), af)
-        )
-    return out
 
 
 def tensor_power_audit(
@@ -529,14 +621,14 @@ def tensor_power_audit(
     """Aschenbrenner-Friedl data for the k-fold Kronecker powers of A,
     k = 1..K: the graded tensor components of the fiber action.
 
-    Uses tr((A^{(x)k})^j) = tr(A^j)^k.  The side cap bounds n^k, the
-    degree of each characteristic polynomial.
+    The factors of char(A^{(x)k}) are those of the orbit polynomials
+    P_mu over all partitions mu of k (see _GradedFactors), each built
+    from the traces tr(A^s) and factored on its own.  The side cap
+    still bounds n^k, the degree of char(A^{(x)k}).
     """
-
-    def sums(f: IntPoly, k: int) -> list[int]:
-        return [t**k for t in power_sums(f, kronecker_side(A.rows, k, side_cap))]
-
-    return _graded_audit(A, K, p, sums)
+    _check_audit_input(A, K, p)
+    _check_tensor_cap(A.rows, K, side_cap)
+    return _audit_levels(_GradedFactors(A), K, p, lie=False)
 
 
 def lie_component_audit(
@@ -548,16 +640,14 @@ def lie_component_audit(
     """Same audit on the degree-k free Lie components; a tensor pass at
     k always implies a Lie pass at k, never the reverse.
 
-    Traces come from Brandt's character formula (lie_power_sums).  The
-    Witt cap bounds the Witt dimension, the degree of each
-    characteristic polynomial.
+    The factors of char(A | L_k) are those of the orbit polynomials
+    P_mu over the partitions mu of k that are the content of some
+    Lyndon word (see _GradedFactors).  The Witt cap still bounds the
+    Witt dimension, the degree of char(A | L_k).
     """
-
-    def sums(f: IntPoly, k: int) -> list[int]:
-        dim = capped_witt_dimension(A.rows, k, witt_cap)
-        return lie_power_sums(power_sums(f, k * dim), k, dim)
-
-    return _graded_audit(A, K, p, sums)
+    _check_audit_input(A, K, p)
+    _check_lie_cap(A.rows, K, witt_cap)
+    return _audit_levels(_GradedFactors(A), K, p, lie=True)
 
 
 def _cols_matrix(n: int, cols: list) -> IntMatrix:
@@ -681,7 +771,7 @@ def classify_f2(A: IntMatrix, primes: Iterable[int] = ()) -> Verdict:
                 proven,
                 tuple(witnesses),
             )
-        ps = _radical(d)
+        ps = prime_divisors(d)
         witnesses.append(
             make_witness(
                 "rank2_classification",
@@ -777,17 +867,19 @@ def finite_index_resnil_subgroup(A: IntMatrix) -> SubgroupReport:
 
 
 def _audit_witnesses(
-    A: IntMatrix, K: int, side_cap: int, witt_cap: int
-) -> tuple[list[Witness], bool]:
-    trecs = tensor_power_audit(A, K, side_cap=side_cap)
-    lrecs = lie_component_audit(A, K, witt_cap=witt_cap)
+    graded: _GradedFactors, K: int, side_cap: int, witt_cap: int
+) -> list[Witness]:
+    _check_tensor_cap(graded.n, K, side_cap)
+    _check_lie_cap(graded.n, K, witt_cap)
+    trecs = _audit_levels(graded, K, None, lie=False)
+    lrecs = _audit_levels(graded, K, None, lie=True)
     tbits = ", ".join(
         f"k={r.k} {'pass' if r.af_nilpotent else 'fail'}" for r in trecs
     )
     lbits = ", ".join(
         f"k={r.k} {'pass' if r.af_nilpotent else 'fail'}" for r in lrecs
     )
-    ws = [
+    return [
         make_witness(
             "tensor_power_audit",
             f"af-nilpotence on tensor powers: {tbits}; verified up to bound {K}",
@@ -797,7 +889,6 @@ def _audit_witnesses(
             f"af-nilpotence on Lie components: {lbits}; verified up to bound {K}",
         ),
     ]
-    return ws, all(r.af_nilpotent for r in trecs)
 
 
 def classify_general(
@@ -828,13 +919,15 @@ def classify_general(
     proven = Certainty.proven()
     unknown = Certainty.unknown()
 
+    # char(A) and each orbit polynomial are factored once per call
+    graded = _GradedFactors(A)
     if n == 2:
         v = classify_f2(A, primes=req)
-        ws, _ = _audit_witnesses(A, K, side_cap, witt_cap)
+        ws = _audit_witnesses(graded, K, side_cap, witt_cap)
         return dataclasses.replace(v, witnesses=v.witnesses + tuple(ws))
 
     witnesses: list[Witness] = []
-    af = af_criterion(A)
+    af = graded.level(1, lie=False)
     vals = ", ".join(f"({f}) -> {val}" for f, val in af.factor_values)
     dAe = determinant(A.minus_identity())
 
@@ -861,7 +954,7 @@ def classify_general(
     all_flag = False
     resnil: Optional[bool] = None
 
-    iec = integer_eigenvalue_criterion(A)
+    iec = _integer_spectrum(graded.irreducibles((1,)))
     if iec is not None:
         all_plus, has_minus = iec
         resnil = True
@@ -915,8 +1008,7 @@ def classify_general(
     if any(v is True for v, _ in entries.values()) or all_flag:
         witnesses.append(_chain_witness())
 
-    ws, _ = _audit_witnesses(A, K, side_cap, witt_cap)
-    witnesses.extend(ws)
+    witnesses.extend(_audit_witnesses(graded, K, side_cap, witt_cap))
 
     for p in req:
         entries.setdefault(p, (None, unknown))

@@ -26,6 +26,11 @@ class SizeCapExceeded(ResnilError):
     """A computed object would exceed the configured size cap."""
 
 
+class PrimalityUnproven(SizeCapExceeded):
+    """A probable prime lies above the range where the primality test
+    is a proof."""
+
+
 class BadCompoundOrder(ResnilError):
     """Compound matrix order k must satisfy 1 <= k <= n."""
 

@@ -24,6 +24,7 @@ __all__ = [
     "LieElement",
     "DEFAULT_WITT_CAP",
     "witt_dimension",
+    "lyndon_count",
     "capped_witt_dimension",
     "lie_power_sums",
     "lyndon_basis",
@@ -61,6 +62,29 @@ def witt_dimension(n: int, k: int) -> int:
         if k % d == 0:
             total += _mobius(d) * n ** (k // d)
     assert total % k == 0
+    return total // k
+
+
+def lyndon_count(content) -> int:
+    """Number of Lyndon words in which letter r occurs content[r] times,
+    by Witt's multigraded formula (Reutenauer, Free Lie Algebras, 1993):
+    (1/k) * sum over d | gcd(content) of mobius(d) * (k/d)! / prod (c_r/d)!,
+    with k = sum(content).  It depends only on the multiset of counts;
+    summed over the contents of length k on n letters it is
+    witt_dimension(n, k)."""
+    if not content or any(c < 1 for c in content):
+        raise ValueError("need a nonempty content of positive counts")
+    k = sum(content)
+    g = math.gcd(*content)
+    total = 0
+    for d in range(1, g + 1):
+        if g % d == 0 and (mu := _mobius(d)):
+            words = math.factorial(k // d)
+            for c in content:
+                words //= math.factorial(c // d)
+            total += mu * words
+    if total % k:
+        raise ArithmeticError(f"Witt sum {total} is not divisible by {k}")
     return total // k
 
 

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 
@@ -217,6 +218,47 @@ class TestExitCodes:
         assert code == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_caps_bound_the_level_sizes(self, monkeypatch, capsys):
+        # the largest orbit polynomial here has degree 6, but the caps
+        # bound n^k and the Witt dimension, as they did before
+        A = "[[0,0,-1],[1,0,5],[0,1,0]]"
+        assert main(["--matrix", A, "--cap", "8"]) == 3
+        doc = {"matrix": A, "cap": 20, "tensor_bound": 3}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        assert main(["--json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: Kronecker power side 3^2 exceeds cap 8\n"
+            "error: Kronecker power side 3^3 exceeds cap 20\n"
+        )
+
+    def test_high_tensor_bound_ends(self, capsys):
+        # x^3 - 5x + 1 at K = 7: char(A^{(x)7}) has degree 2187, its
+        # largest orbit polynomial degree 6
+        def on_alarm(signum, frame):
+            raise TimeoutError("the audits did not end in 5 s")
+
+        old = signal.signal(signal.SIGALRM, on_alarm)
+        signal.alarm(5)
+        try:
+            code = main(["--matrix", "[[0,0,-1],[1,0,5],[0,1,0]]", "--tensor-bound", "7"])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, old)
+        assert code == 0
+        assert "verified up to bound 7" in capsys.readouterr().out
+
+    def test_unproven_prime_exits_3(self, capsys):
+        # tr - 2 = 2^89 - 1 is prime, but above the range where
+        # Miller-Rabin to the bases 2..41 is a proof
+        assert main(["--matrix", f"[[0,-1],[1,{2**89 + 1}]]"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot prove {2**89 - 1} prime")
+        # a requested prime is held to the same standard
+        assert main(["--matrix", "[[1,1],[0,1]]", "--primes", str(2**89 - 1)]) == 3
+
     def test_wrong_inverse(self, capsys):
         code = main(["--endo", "a->b; b->a b^3", "--inverse", "a->b; b->a"])
         assert code == 2
@@ -299,3 +341,14 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert "residually nilpotent: yes" in proc.stdout
+        assert proc.stderr == ""
+        # the package does not import cli, so running it as __main__
+        # gives no RuntimeWarning
+        proc = subprocess.run(
+            [sys.executable, "-m", "resnil.cli", "--example", "braid3"],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""

@@ -6,6 +6,7 @@ import signal
 
 import pytest
 
+import resnil.criteria as criteria
 from resnil.criteria import (
     ANCHORS,
     AfResult,
@@ -27,17 +28,26 @@ from resnil.criteria import (
     mikhailov_module_check,
     mod_p_unipotency,
     tensor_power_audit,
+    _GradedFactors,
+    _partitions,
 )
 from resnil.errors import (
     BadModulus,
     DimensionMismatch,
     NotPrime,
     NotUnimodular,
+    PrimalityUnproven,
     SizeCapExceeded,
 )
 from resnil.freegroup import FreeEndo
-from resnil.intpoly import factor_over_Z, from_power_sums, power_sums
-from resnil.liealg import induced_lie_matrix, lie_power_sums, witt_dimension
+from resnil.primes import MR_EXACT_BOUND, prime_divisors
+from resnil.intpoly import IntPoly, factor_over_Z, from_power_sums, power_sums
+from resnil.liealg import (
+    induced_lie_matrix,
+    lie_power_sums,
+    lyndon_count,
+    witt_dimension,
+)
 from resnil.zlinalg import (
     IntMatrix,
     char_poly,
@@ -667,8 +677,9 @@ def _matrix_path(P, p):
 
 
 class TestAuditsFromPowerSums:
-    """The audits build each char poly from tr(A^j); the Kronecker
-    powers and induced Lie matrices are the oracle."""
+    """The audit records against the char polys of the Kronecker powers
+    and induced Lie matrices, which the power-sum char polys of the
+    tensor and Lie levels also equal."""
 
     @pytest.mark.parametrize("n,K,count", [(2, 5, 4), (3, 3, 4), (4, 2, 4), (3, 4, 1)])
     def test_char_polys_and_records_match_matrix_path(self, n, K, count):
@@ -723,3 +734,192 @@ class TestAuditsFromPowerSums:
         assert v.proven_primes() == (p,)
         assert all("primes" not in vars(r.af) for r in recs)
         assert recs[0].af_p_finite
+
+
+def _with_alarm(seconds, func):
+    def on_alarm(signum, frame):
+        raise TimeoutError(f"did not end in {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, on_alarm)
+    signal.alarm(seconds)
+    try:
+        return func()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def _power_sum_path(A, K):
+    """char(A^{(x)k}) from tr(A^j)^k and char(A | L_k) from Brandt's
+    formula, k = 1..K: the route before orbit types."""
+    n = A.rows
+    f = char_poly(A)
+    out = []
+    for k in range(1, K + 1):
+        T = from_power_sums([t**k for t in power_sums(f, n**k)])
+        dim = witt_dimension(n, k)
+        L = from_power_sums(lie_power_sums(power_sums(f, k * dim), k, dim))
+        out.append((T, L))
+    return out
+
+
+class TestOrbitTypes:
+    """The graded levels from one orbit polynomial P_mu per partition
+    mu of k, shared by the tensor and Lie audits."""
+
+    @pytest.mark.parametrize(
+        "n,K,count", [(2, 6, 4), (3, 4, 3), (4, 3, 2), (5, 2, 2), (5, 3, 1)]
+    )
+    def test_records_match_power_sum_path(self, n, K, count):
+        rng = random.Random(6000 + 10 * n + K)
+        for i in range(count):
+            A = random_unimodular(rng, n, steps=8)
+            p = (2, 3, 5)[i % 3]
+            trecs = tensor_power_audit(A, K, p=p)
+            lrecs = lie_component_audit(A, K, p=p)
+            for k, (T, L) in enumerate(_power_sum_path(A, K), 1):
+                for rec, P in ((trecs[k - 1], T), (lrecs[k - 1], L)):
+                    pairs, nilpotent, p_bit = _matrix_path(P, p)
+                    assert rec.af.factor_values == pairs
+                    assert rec.af_nilpotent == nilpotent
+                    assert rec.af_p_finite == p_bit
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_degree_identities(self, n):
+        # at A = E every P_mu is (x-1)^deg, and the degrees with the
+        # tensor and Lyndon multiplicities add up to n^k and the Witt
+        # dimension
+        graded = _GradedFactors(IntMatrix.identity(n))
+        for k in range(1, 8):
+            tensor = lie = 0
+            for mu in _partitions(k, n):
+                P = graded._orbit_poly(mu)
+                deg = P.degree()
+                symmetry = math.prod(math.factorial(mu.count(c)) for c in set(mu))
+                assert deg == math.perm(n, len(mu)) // symmetry
+                assert P == IntPoly((-1, 1)) ** deg
+                tensor += deg * math.factorial(k) // math.prod(map(math.factorial, mu))
+                lie += deg * lyndon_count(mu)
+            assert tensor == n**k
+            assert lie == witt_dimension(n, k)
+
+    def test_partitions(self):
+        assert len(list(_partitions(7, 7))) == 15
+        assert list(_partitions(5, 2)) == [(5,), (4, 1), (3, 2)]
+
+    def test_first_orbit_polynomial_is_char_poly(self):
+        rng = random.Random(61)
+        for n in (2, 3, 4, 5):
+            A = random_unimodular(rng, n)
+            assert _GradedFactors(A)._orbit_poly((1,)) == char_poly(A)
+
+    def test_inexact_orbit_sums_rejected(self):
+        graded = _GradedFactors(IntMatrix.identity(2))
+        # t_1^2 - t_2 = -1 is not divisible by 2
+        graded._traces = [1, 2, 3, 4]
+        with pytest.raises(ArithmeticError):
+            graded._orbit_poly((1, 1))
+
+    def test_each_orbit_polynomial_factored_once(self, monkeypatch):
+        calls = {"char_poly": 0, "factor_over_Z": []}
+
+        def counting_char_poly(A):
+            calls["char_poly"] += 1
+            return char_poly(A)
+
+        def counting_factor(P):
+            calls["factor_over_Z"].append(P)
+            return factor_over_Z(P)
+
+        monkeypatch.setattr(criteria, "char_poly", counting_char_poly)
+        monkeypatch.setattr(criteria, "factor_over_Z", counting_factor)
+        # x^3 - 5x + 1: not a fiber action, so every stage runs
+        A = M([[0, 0, -1], [1, 0, 5], [0, 1, 0]])
+        classify_general(A, tensor_bound=3)
+        assert calls["char_poly"] == 1
+        # (1), (2), (1,1), (3), (2,1), (1,1,1)
+        assert len(calls["factor_over_Z"]) == 6
+        assert calls["factor_over_Z"][0] == char_poly(A)
+
+    def test_caps_checked_before_any_work(self, monkeypatch):
+        def refuse(P):
+            raise AssertionError("factored before the caps were checked")
+
+        monkeypatch.setattr(criteria, "factor_over_Z", refuse)
+        A = M([[0, 1], [1, 3]])
+        with pytest.raises(SizeCapExceeded, match=r"^Kronecker power side 2\^3 exceeds cap 4$"):
+            tensor_power_audit(A, 3, side_cap=4)
+        # witt_dimension(2, k) = 2, 1, 2, 3, 6 for k = 1..5
+        with pytest.raises(SizeCapExceeded, match=r"^Witt dimension 6 exceeds cap 5$"):
+            lie_component_audit(A, 5, witt_cap=5)
+        # tensor caps first, then Lie caps, whatever k trips the Lie cap
+        with pytest.raises(SizeCapExceeded, match=r"^Kronecker power side 2\^4 exceeds cap 8$"):
+            classify_general(A, tensor_bound=4, side_cap=8, witt_cap=1)
+        with pytest.raises(SizeCapExceeded, match=r"^Witt dimension 2 exceeds cap 1$"):
+            classify_general(A, tensor_bound=2, witt_cap=1)
+
+    def test_no_cap_is_not_another_audit(self):
+        # a missing cap is an error, never a switch to the other audit
+        A = M([[0, 1], [1, 3]])
+        with pytest.raises(TypeError):
+            lie_component_audit(A, 2, witt_cap=None)
+        with pytest.raises(TypeError):
+            tensor_power_audit(A, 2, side_cap=None)
+
+
+class TestPrimeExtraction:
+    def test_rank_two_power_ends(self):
+        # tr - 2 = 2918000611027441 = 54018521^2 stalled trial division
+        A = M([[2, 1], [1, 1]]).power(37)
+        d = A.trace() - 2
+        v = _with_alarm(1, lambda: classify_general(A))
+        ps = v.proven_primes()
+        assert ps == (54018521,)
+        for p in ps:
+            assert d % p == 0 and is_prime(p)
+            while d % p == 0:
+                d //= p
+        assert abs(d) == 1
+
+    def test_prime_divisors_match_trial_division(self):
+        rng = random.Random(37)
+        for _ in range(2000):
+            m = rng.randrange(-(10**7), 10**7)
+            assert prime_divisors(m) == radical(m)
+        p, q = 2147483647, 2305843009213693951
+        assert prime_divisors(p * q**2 * 12) == (2, 3, p, q)
+        assert prime_divisors(1000003 * 1000033) == (1000003, 1000033)
+        assert prime_divisors(0) == prime_divisors(1) == ()
+
+    # psi_12 and psi_13: the least strong pseudoprimes to the first 12
+    # and 13 prime bases (Sorenson and Webster 2017)
+    PSI_12 = 318665857834031151167461
+    PSI_13 = 3317044064679887385961981
+
+    def test_strong_pseudoprimes(self):
+        assert MR_EXACT_BOUND == self.PSI_13
+        assert self.PSI_12 == 399165290221 * 798330580441
+        assert not is_prime(self.PSI_12)
+        assert prime_divisors(self.PSI_12) == (399165290221, 798330580441)
+        # psi_13 passes every base: it is refused, never called prime
+        assert self.PSI_13 == 1287836182261 * 2575672364521
+        with pytest.raises(PrimalityUnproven, match=f"^cannot prove {self.PSI_13} prime"):
+            is_prime(self.PSI_13)
+        with pytest.raises(PrimalityUnproven):
+            prime_divisors(self.PSI_13)
+        with pytest.raises(PrimalityUnproven):
+            classify_general(M([[1, 1], [0, 1]]), primes=[self.PSI_13])
+        # a composite above the bound is still split
+        assert prime_divisors(self.PSI_12 * self.PSI_13 // 2575672364521 * 4) == (
+            2, 399165290221, 798330580441, 1287836182261
+        )
+
+    def test_rank_two_pseudoprime_trace(self):
+        # tr - 2 = psi_12 has no factor below 1000
+        v = classify_f2(M([[0, -1], [1, self.PSI_12 + 2]]))
+        assert v.proven_primes() == (399165290221, 798330580441)
+        # a probable prime above psi_13 is never reported as proven
+        with pytest.raises(PrimalityUnproven):
+            classify_f2(M([[0, -1], [1, self.PSI_13 + 2]]))
+        with pytest.raises(PrimalityUnproven):
+            classify_f2(M([[0, -1], [1, 2**89 + 1]]))

@@ -1,5 +1,6 @@
 """Free Lie algebra tests: Lyndon bases, brackets, induced matrices."""
 
+import itertools
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from resnil.liealg import (
     bracket_normal_form,
     induced_lie_matrix,
     lyndon_basis,
+    lyndon_count,
     witt_dimension,
 )
 from resnil.zlinalg import IntMatrix, char_poly, determinant, kronecker_power
@@ -43,6 +45,22 @@ class TestWittDimension:
         for n in (1, 2, 3):
             for k in range(1, 7):
                 assert witt_dimension(n, k) == len(lyndon_words_brute(n, k))
+
+    def test_lyndon_count_by_content(self):
+        # Witt's multigraded formula against the Lyndon words of each content
+        for n in (1, 2, 3):
+            for k in range(1, 7):
+                counts = {}
+                for w in lyndon_words_brute(n, k):
+                    content = tuple(w.count(c) for c in range(1, n + 1))
+                    counts[content] = counts.get(content, 0) + 1
+                for content in itertools.product(range(k + 1), repeat=n):
+                    if sum(content) != k:
+                        continue
+                    present = tuple(c for c in content if c)
+                    assert lyndon_count(present) == counts.get(content, 0)
+        with pytest.raises(ValueError):
+            lyndon_count((2, 0))
 
 
 class TestLyndonBasis:
