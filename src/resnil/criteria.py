@@ -446,7 +446,8 @@ def _partitions(k: int, parts: int, largest: Optional[int] = None):
         return
     if parts == 0:
         return
-    for first in range(min(k, largest), 0, -1):
+    # a first part below ceil(k / parts) leaves too much for the rest
+    for first in range(min(k, largest), -(-k // parts) - 1, -1):
         for rest in _partitions(k - first, parts - 1, first):
             yield (first,) + rest
 
@@ -710,6 +711,41 @@ def _chain_witness() -> Witness:
     )
 
 
+def _verdict(
+    resnil: Optional[bool],
+    lcs: LcsLength,
+    witnesses: Iterable[Witness],
+    req: tuple[int, ...],
+    proven: Iterable[int] = (),
+    all_primes: bool = False,
+) -> Verdict:
+    """The one place a classifier's verdict is assembled.
+
+    A requested prime is a proven no when resnil is False, a proven yes
+    when it is in proven or all_primes is set, and unknown otherwise;
+    the primes in proven are reported even when not requested.  Each
+    certainty is proven unless its value is unknown.
+    """
+    if resnil is False:
+        values = dict.fromkeys(req, False)
+    else:
+        values = dict.fromkeys(proven, True)
+        for p in req:
+            values.setdefault(p, True if all_primes else None)
+
+    def certainty(known: bool) -> Certainty:
+        return Certainty.proven() if known else Certainty.unknown()
+
+    return Verdict(
+        (resnil, certainty(resnil is not None)),
+        all_primes,
+        tuple((p, v, certainty(v is not None)) for p, v in values.items()),
+        lcs,
+        certainty(lcs is not LcsLength.UNKNOWN),
+        tuple(witnesses),
+    )
+
+
 def classify_f2(A: IntMatrix, primes: Iterable[int] = ()) -> Verdict:
     """Exact trichotomy for a rank-2 free fiber, decided by det and
     trace alone.
@@ -730,102 +766,56 @@ def classify_f2(A: IntMatrix, primes: Iterable[int] = ()) -> Verdict:
     det = determinant(A)
     tr = A.trace()
     dAe = determinant(A.minus_identity())
-    proven = Certainty.proven()
-    unknown = Certainty.unknown()
-    witnesses = []
 
     if (det == 1 and tr in (1, 3)) or (det == -1 and tr in (1, -1)):
-        witnesses.append(
+        witnesses = [
             make_witness(
                 "rank2_classification",
                 f"det={det}, tr={tr}: gamma_2 = gamma_omega is the fiber",
-            )
-        )
-        witnesses.append(
-            make_witness("fiber_stabilization", f"det(A-E)={dAe} is a unit")
-        )
-        return Verdict(
-            (False, proven),
-            False,
-            tuple((p, False, proven) for p in req),
-            LcsLength.TWO,
-            proven,
-            tuple(witnesses),
-        )
+            ),
+            make_witness("fiber_stabilization", f"det(A-E)={dAe} is a unit"),
+        ]
+        return _verdict(False, LcsLength.TWO, witnesses, req)
 
     if det == 1:
         d = tr - 2
         if d == 0:
-            witnesses.append(
+            witnesses = [
                 make_witness(
                     "rank2_classification",
                     f"det=1, tr=2: tr-2=0, residually p-finite for every prime",
-                )
-            )
-            witnesses.append(_chain_witness())
-            return Verdict(
-                (True, proven),
-                True,
-                tuple((p, True, proven) for p in req),
-                LcsLength.OMEGA,
-                proven,
-                tuple(witnesses),
-            )
+                ),
+                _chain_witness(),
+            ]
+            return _verdict(True, LcsLength.OMEGA, witnesses, req, all_primes=True)
         ps = prime_divisors(d)
-        witnesses.append(
+        witnesses = [
             make_witness(
                 "rank2_classification",
                 f"det=1, tr={tr}: residually p-finite for p dividing tr-2={d}",
-            )
-        )
-        witnesses.append(_chain_witness())
-        entries = {p: (True, proven) for p in ps}
-        for p in req:
-            entries.setdefault(p, (None, unknown))
-        return Verdict(
-            (True, proven),
-            False,
-            tuple((p, v, c) for p, (v, c) in entries.items()),
-            LcsLength.OMEGA,
-            proven,
-            tuple(witnesses),
-        )
+            ),
+            _chain_witness(),
+        ]
+        return _verdict(True, LcsLength.OMEGA, witnesses, req, proven=ps)
 
     if tr % 2 == 0:
-        witnesses.append(
+        witnesses = [
             make_witness(
                 "rank2_classification",
                 f"det=-1, tr={tr} even: residually 2-finite",
-            )
-        )
-        witnesses.append(_chain_witness())
-        entries = {2: (True, proven)}
-        for p in req:
-            entries.setdefault(p, (None, unknown))
-        return Verdict(
-            (True, proven),
-            False,
-            tuple((p, v, c) for p, (v, c) in entries.items()),
-            LcsLength.OMEGA,
-            proven,
-            tuple(witnesses),
-        )
+            ),
+            _chain_witness(),
+        ]
+        return _verdict(True, LcsLength.OMEGA, witnesses, req, proven=(2,))
 
-    witnesses.append(
+    witnesses = [
         make_witness(
             "rank2_classification",
             f"det=-1, tr={tr} odd with |tr|>1: gamma_omega nontrivial, "
             "gamma_omega^2 trivial",
         )
-    )
-    return Verdict(
-        (False, proven),
-        False,
-        tuple((p, False, proven) for p in req),
-        LcsLength.OMEGA_SQUARED,
-        proven,
-        tuple(witnesses),
-    )
+    ]
+    return _verdict(False, LcsLength.OMEGA_SQUARED, witnesses, req)
 
 
 class SubgroupReport(NamedTuple):
@@ -871,22 +861,21 @@ def _audit_witnesses(
 ) -> list[Witness]:
     _check_tensor_cap(graded.n, K, side_cap)
     _check_lie_cap(graded.n, K, witt_cap)
-    trecs = _audit_levels(graded, K, None, lie=False)
-    lrecs = _audit_levels(graded, K, None, lie=True)
-    tbits = ", ".join(
-        f"k={r.k} {'pass' if r.af_nilpotent else 'fail'}" for r in trecs
-    )
-    lbits = ", ".join(
-        f"k={r.k} {'pass' if r.af_nilpotent else 'fail'}" for r in lrecs
-    )
+
+    def bits(lie: bool) -> str:
+        return ", ".join(
+            f"k={r.k} {'pass' if r.af_nilpotent else 'fail'}"
+            for r in _audit_levels(graded, K, None, lie)
+        )
+
     return [
         make_witness(
             "tensor_power_audit",
-            f"af-nilpotence on tensor powers: {tbits}; verified up to bound {K}",
+            f"af-nilpotence on tensor powers: {bits(False)}; verified up to bound {K}",
         ),
         make_witness(
             "lie_component_audit",
-            f"af-nilpotence on Lie components: {lbits}; verified up to bound {K}",
+            f"af-nilpotence on Lie components: {bits(True)}; verified up to bound {K}",
         ),
     ]
 
@@ -916,8 +905,6 @@ def classify_general(
     K = tensor_bound if tensor_bound is not None else (4 if n == 2 else 3)
     if K < 1:
         raise ValueError("bound K must be at least 1")
-    proven = Certainty.proven()
-    unknown = Certainty.unknown()
 
     # char(A) and each orbit polynomial are factored once per call
     graded = _GradedFactors(A)
@@ -931,7 +918,7 @@ def classify_general(
     vals = ", ".join(f"({f}) -> {val}" for f, val in af.factor_values)
     dAe = determinant(A.minus_identity())
 
-    if gamma_omega_is_fiber(A):
+    if abs(dAe) == 1:
         witnesses.append(
             make_witness(
                 "fiber_stabilization",
@@ -941,27 +928,16 @@ def classify_general(
         witnesses.append(
             make_witness("char_poly_factor_values", f"factor values at 1: {vals}")
         )
-        return Verdict(
-            (False, proven),
-            False,
-            tuple((p, False, proven) for p in req),
-            LcsLength.TWO,
-            proven,
-            tuple(witnesses),
-        )
+        return _verdict(False, LcsLength.TWO, witnesses, req)
 
-    entries: dict[int, tuple] = {}
+    proven: set[int] = set()
     all_flag = False
-    resnil: Optional[bool] = None
 
     iec = _integer_spectrum(graded.irreducibles((1,)))
     if iec is not None:
         all_plus, has_minus = iec
-        resnil = True
         if all_plus:
             all_flag = True
-            for p in req:
-                entries[p] = (True, proven)
             witnesses.append(
                 make_witness(
                     "integer_spectrum",
@@ -970,7 +946,7 @@ def classify_general(
             )
         else:
             assert has_minus
-            entries[2] = (True, proven)
+            proven.add(2)
             witnesses.append(
                 make_witness(
                     "integer_spectrum",
@@ -981,12 +957,11 @@ def classify_general(
     # (A-E)^N = 0 mod p makes char(A) = (x-1)^n mod p, so p divides every
     # factor value at 1: every prime with a certificate is in af.primes
     for p in af.primes:
-        if all_flag or p in entries:
+        if all_flag or p in proven:
             continue
         N = mod_p_unipotency(A, p)
         if N is not None:
-            entries[p] = (True, proven)
-            resnil = True
+            proven.add(p)
             witnesses.append(
                 make_witness(
                     "congruence_unipotency",
@@ -1005,35 +980,25 @@ def classify_general(
                 "no conclusion for the full group",
             )
         )
-    if any(v is True for v, _ in entries.values()) or all_flag:
+    # every proven source above is a residual p-finiteness certificate
+    resnil = bool(proven) or all_flag
+    if resnil:
         witnesses.append(_chain_witness())
 
     witnesses.extend(_audit_witnesses(graded, K, side_cap, witt_cap))
 
-    for p in req:
-        entries.setdefault(p, (None, unknown))
-
-    if resnil is True:
-        lcs, lc = (LcsLength.OMEGA, proven) if n >= 2 else (LcsLength.UNKNOWN, unknown)
-        rn = (True, proven)
-    else:
-        rn = (None, unknown)
-        lcs, lc = LcsLength.UNKNOWN, unknown
-        witnesses.append(
-            make_witness(
-                "rank_open_problem",
-                f"rank {n}: no exact classification applies; "
-                "series length left unknown",
-            )
+    if resnil:
+        # a rank-1 fiber (n = 1 reaches this path) keeps its length unknown
+        lcs = LcsLength.OMEGA if n >= 2 else LcsLength.UNKNOWN
+        return _verdict(True, lcs, witnesses, req, proven, all_flag)
+    witnesses.append(
+        make_witness(
+            "rank_open_problem",
+            f"rank {n}: no exact classification applies; "
+            "series length left unknown",
         )
-    return Verdict(
-        rn,
-        all_flag,
-        tuple((p, v, c) for p, (v, c) in entries.items()),
-        lcs,
-        lc,
-        tuple(witnesses),
     )
+    return _verdict(None, LcsLength.UNKNOWN, witnesses, req)
 
 
 def classify_family(mats: Iterable[IntMatrix], primes: Iterable[int] = ()) -> Verdict:
@@ -1047,8 +1012,6 @@ def classify_family(mats: Iterable[IntMatrix], primes: Iterable[int] = ()) -> Ve
     """
     req = _validated_primes(primes)
     mats = list(mats)
-    proven = Certainty.proven()
-    unknown = Certainty.unknown()
     witnesses = []
     ns = []
     for i, B in enumerate(mats, 1):
@@ -1071,34 +1034,17 @@ def classify_family(mats: Iterable[IntMatrix], primes: Iterable[int] = ()) -> Ve
             )
         )
     if aug is None or any(N is None for N in ns):
-        return Verdict(
-            (None, unknown),
-            False,
-            tuple((p, None, unknown) for p in req),
-            LcsLength.UNKNOWN,
-            unknown,
-            tuple(witnesses)
-            + (
-                make_witness(
-                    "abelian_quotient_evidence",
-                    "family certificate incomplete; no conclusion",
-                ),
-            ),
+        witnesses.append(
+            make_witness(
+                "abelian_quotient_evidence",
+                "family certificate incomplete; no conclusion",
+            )
         )
+        return _verdict(None, LcsLength.UNKNOWN, witnesses, req)
     witnesses.append(
         make_witness(
             "p_finite_implies_nilpotent",
             "residual 2-finiteness of the family implies residual nilpotence",
         )
     )
-    entries = {2: (True, proven)}
-    for p in req:
-        entries.setdefault(p, (None, unknown))
-    return Verdict(
-        (True, proven),
-        False,
-        tuple((p, v, c) for p, (v, c) in entries.items()),
-        LcsLength.UNKNOWN,
-        unknown,
-        tuple(witnesses),
-    )
+    return _verdict(True, LcsLength.UNKNOWN, witnesses, req, proven=(2,))

@@ -9,8 +9,11 @@ decomposition (Yun), factorization modulo a small odd prime
 (distinct-degree then equal-degree splitting), Hensel lifting to a bound
 large enough to recover true factor coefficients, then subset
 recombination with trial division.  This keeps the package dependency
-free and is fast at the degree range used here (tensor powers stay in
-the low hundreds at most).
+free and is fast at the degree range used here: the classifier factors
+char(A) and, for its graded audits, one orbit polynomial P_mu per
+partition mu of k (criteria._GradedFactors), of degree
+n!/((n-len(mu))! prod m_i!), never a characteristic polynomial of
+degree n^k.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import random
 from typing import Iterable
 
 from .errors import NotMonic, ZeroPolynomial
+from .primes import is_prime
 
 __all__ = [
     "IntPoly",
@@ -548,17 +552,6 @@ def _symmetric(c: int, m: int) -> int:
     return c - m if c > m // 2 else c
 
 
-def _primes_from(start: int):
-    n = start
-    while True:
-        for d in range(2, int(math.isqrt(n)) + 1):
-            if n % d == 0:
-                break
-        else:
-            yield n
-        n += 2 if n > 2 else 1
-
-
 def _factor_monic_squarefree(h: IntPoly) -> list[IntPoly]:
     deg = h.degree()
     if deg <= 1:
@@ -566,7 +559,7 @@ def _factor_monic_squarefree(h: IntPoly) -> list[IntPoly]:
     # pick a prime keeping h squarefree mod p, preferring few modular factors
     best = None
     tried = 0
-    for p in _primes_from(3):
+    for p in filter(is_prime, itertools.count(3, 2)):
         hp = _trim([c % p for c in h.coeffs])
         if len(hp) - 1 != deg:
             continue

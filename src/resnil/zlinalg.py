@@ -1,7 +1,7 @@
 """Exact integer linear algebra.
 
 Determinants (fraction-free Bareiss), characteristic polynomials
-(Faddeev-LeVerrier, all divisions exact), Kronecker powers, compound
+(Newton's identities on power traces), Kronecker powers, compound
 matrices, column Hermite normal form, Smith normal form with recorded
 transforms, and sublattice membership.  No floating point anywhere.
 """
@@ -20,7 +20,7 @@ from .errors import (
     NotUnimodular,
     SizeCapExceeded,
 )
-from .intpoly import IntPoly
+from .intpoly import IntPoly, from_power_sums
 
 __all__ = [
     "IntMatrix",
@@ -213,22 +213,18 @@ def is_unimodular(M: IntMatrix) -> bool:
 def char_poly(M: IntMatrix) -> IntPoly:
     """Monic characteristic polynomial det(x*I - M).
 
-    Faddeev-LeVerrier recursion; every division is exact over Z.
+    Newton's identities on the traces tr(M^j), j = 1..n; a division
+    that is not exact raises ArithmeticError.
     """
     if not M.is_square():
         raise NotSquare("characteristic polynomial needs a square matrix")
-    n = M.rows
-    if n == 0:
-        return IntPoly((1,))
-    ident = IntMatrix.identity(n)
+    traces = []
     N = M
-    cs = [-N.trace()]
-    for k in range(2, n + 1):
-        N = M * (N + cs[-1] * ident)
-        tr = N.trace()
-        assert tr % k == 0, "Faddeev-LeVerrier division must be exact"
-        cs.append(-(tr // k))
-    return IntPoly(list(reversed(cs)) + [1])
+    for j in range(M.rows):
+        if j:
+            N = N * M
+        traces.append(N.trace())
+    return from_power_sums(traces)
 
 
 def _kron(A: IntMatrix, B: IntMatrix) -> IntMatrix:

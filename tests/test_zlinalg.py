@@ -141,6 +141,9 @@ class TestCharPoly:
         C = IntMatrix.from_rows([[0, 0, 1], [1, 0, -4], [0, 1, 4]])
         assert char_poly(C) == IntPoly([-1, 4, -4, 1])
 
+    def test_empty_matrix(self):
+        assert char_poly(IntMatrix(0, 0, [])) == IntPoly([1])
+
 
 class TestKroneckerPower:
     def test_first_power_is_input(self):
