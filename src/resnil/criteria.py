@@ -488,7 +488,8 @@ class _GradedFactors:
         degree = math.perm(self.n, len(mu)) // symmetry
         need = degree * sum(mu)
         if len(self._traces) < need:
-            self._traces = power_sums(self.char, need)
+            # grow geometrically: at rank 1 every level needs one more trace
+            self._traces = power_sums(self.char, max(need, 2 * len(self._traces)))
         t = self._traces
         sums = []
         for j in range(1, degree + 1):

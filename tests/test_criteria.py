@@ -841,6 +841,20 @@ class TestOrbitTypes:
         assert len(calls["factor_over_Z"]) == 6
         assert calls["factor_over_Z"][0] == char_poly(A)
 
+    def test_trace_list_grows_geometrically(self, monkeypatch):
+        calls = []
+
+        def counting_power_sums(f, m):
+            calls.append(m)
+            return power_sums(f, m)
+
+        monkeypatch.setattr(criteria, "power_sums", counting_power_sums)
+        # rank 1: level k needs k traces, and no audit cap ever trips
+        K = 1000
+        classify_general(M([[-1]]), tensor_bound=K)
+        assert max(calls) >= K
+        assert len(calls) <= math.log2(K) + 2
+
     def test_caps_checked_before_any_work(self, monkeypatch):
         def refuse(P):
             raise AssertionError("factored before the caps were checked")

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import resnil.intpoly as intpoly
 from resnil.errors import ZeroPolynomial
 from resnil.intpoly import (
     IntPoly,
@@ -241,6 +242,77 @@ class TestFactorization:
             lead = rng.randint(-50, 50) or 1
             f = IntPoly(cs + [lead])
             assert library_factor_canonical(f) == brute_force_factor(f)
+
+
+class TestModularShortcuts:
+    def test_degree_sets_prove_irreducible_without_lifting(self, monkeypatch):
+        # x^4 - 3x - 3 (Eisenstein at 3): degree patterns (1,3) mod 5
+        # and 7, (2,2) mod 11, whose subset sums meet in {0, 4}
+        f = IntPoly([-3, -3, 0, 0, 1])
+        for p, pattern in ((5, [1, 3]), (7, [1, 3]), (11, [2, 2])):
+            parts = intpoly._distinct_degree([c % p for c in f.coeffs], p)
+            assert sorted(d for g, d in parts for _ in range((len(g) - 1) // d)) == pattern
+
+        def refuse(*args):
+            raise AssertionError("lifted a polynomial the degree sets prove irreducible")
+
+        monkeypatch.setattr(intpoly, "_hensel_tree", refuse)
+        assert factor_over_Z(f).factors == ((f, 1),)
+
+    def test_irreducible_through_recombination(self, monkeypatch):
+        # reducible mod every prime, so only recombination shows them whole
+        lifts = []
+        real = intpoly._hensel_tree
+
+        def counting(*args):
+            lifts.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(intpoly, "_hensel_tree", counting)
+        for cs in ([1, 0, -10, 0, 1], [1, 0, 0, 0, 1]):
+            before = len(lifts)
+            f = IntPoly(cs)
+            assert factor_over_Z(f).factors == ((f, 1),)
+            assert len(lifts) > before
+
+    def test_squarefree_mod_p_skips_yun(self, monkeypatch):
+        def refuse(f):
+            raise AssertionError("ran Yun on a polynomial squarefree mod 3")
+
+        monkeypatch.setattr(intpoly, "squarefree_decomposition", refuse)
+        f = IntPoly([1, -5, 0, 1])
+        assert factor_over_Z(f * 6).factors == ((f, 1),)
+
+    def test_not_squarefree_mod_small_primes_reaches_yun(self, monkeypatch):
+        # (x - 1)(x - 1 - 15015), 15015 = 3*5*7*11*13: a double root
+        # mod each of those primes, but two distinct simple factors
+        calls = []
+        real = intpoly.squarefree_decomposition
+
+        def counting(f):
+            calls.append(f)
+            return real(f)
+
+        monkeypatch.setattr(intpoly, "squarefree_decomposition", counting)
+        a, b = IntPoly([-1, 1]), IntPoly([-15016, 1])
+        assert factor_over_Z(a * b).factors == ((b, 1), (a, 1))
+        assert len(calls) == 1
+
+    def test_sympy_cross_check(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        rng = random.Random(83)
+        for _ in range(250):
+            f = IntPoly((rng.choice([1, -1, 2, -3, 6]),))
+            for _ in range(rng.randint(1, 3)):
+                cs = [rng.randint(-9, 9) for _ in range(rng.randint(1, 4))]
+                g = IntPoly(cs + [rng.choice([1, 1, -1, 2, 3, 5])])
+                f = f * g ** rng.choice([1, 1, 2, 3])
+            fac = factor_over_Z(f)
+            coeff, pairs = sympy.factor_list(sympy.Poly(f.coeffs[::-1], x))
+            assert fac.unit * fac.content == coeff
+            theirs = sorted((tuple(P.all_coeffs()[::-1]), m) for P, m in pairs)
+            assert sorted((g.coeffs, m) for g, m in fac.factors) == theirs
 
 
 class TestLinearRootProfile:

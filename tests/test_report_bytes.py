@@ -62,6 +62,14 @@ CLI_JOBS = {
     # classify_general: no proven source
     "open-problem": _m("[[0,0,1],[1,0,-4],[0,1,4]]", "2,3"),
     "open-problem-json": _m("[[0,0,1],[1,0,-4],[0,1,4]]", "2,3", "--json"),
+    # graded audits at the default K = 3, where factor_over_Z does the work
+    "audit-x3-5x+1": ["--matrix", "[[0,0,-1],[1,0,5],[0,1,0]]", "--primes", "2,3"],
+    "audit-x3-5x+1-json": ["--matrix", "[[0,0,-1],[1,0,5],[0,1,0]]", "--primes",
+                           "2,3", "--json"],
+    "audit-x4-2x+1": ["--matrix", "[[0,0,0,-1],[1,0,0,2],[0,1,0,0],[0,0,1,0]]",
+                      "--primes", "2,3"],
+    "audit-x4-2x+1-json": ["--matrix", "[[0,0,0,-1],[1,0,0,2],[0,1,0,0],[0,0,1,0]]",
+                           "--primes", "2,3", "--json"],
     # classify_family: certificate at 2
     "klein": ["--example", "klein_p2", "--primes", "2,3"],
     "klein-json": ["--example", "klein_p2", "--primes", "2,3", "--json"],
