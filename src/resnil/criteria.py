@@ -6,9 +6,10 @@ whose abelianized matrix A drives every test here.  Each procedure is
 exact integer arithmetic; each verdict carries witnesses naming the
 criterion used, a citation anchor, and the computed evidence.
 
-Certainty levels keep bounded verification honest: an audit that
-checked graded components up to degree K reports ProvenUpToBound(K),
-never Proven.  "Not residually nilpotent" is only ever asserted from
+Certainty levels keep bounded verification honest: a graded audit that
+checked components up to degree K says so in its witness's evidence
+("verified up to bound K"), and a verdict's certainties are only proven
+or unknown.  "Not residually nilpotent" is only ever asserted from
 exact sources (the rank-2 classification, or a unimodular A - E);
 failure of a sufficient condition never flips that bit.
 """
@@ -235,9 +236,7 @@ class Witness:
 
 
 def make_witness(criterion: str, evidence: str) -> Witness:
-    if criterion not in ANCHORS:
-        raise ValueError(f"unknown witness criterion {criterion!r}")
-    return Witness(criterion, ANCHORS[criterion], evidence)
+    return Witness(criterion, ANCHORS.get(criterion, ""), evidence)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -1003,8 +1002,8 @@ def classify_general(
 
 
 def classify_family(mats: Iterable[IntMatrix], primes: Iterable[int] = ()) -> Verdict:
-    """Classifier for a fiber acted on by a family of commuting
-    matrices, from a certificate at the prime 2.
+    """Classifier for a fiber acted on by a family of action matrices,
+    from a certificate at the prime 2.
 
     Every matrix unipotent mod 2 and the family's augmentation powers
     landing in 2 times the fiber lattice prove residual 2-finiteness,

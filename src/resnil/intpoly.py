@@ -2,7 +2,9 @@
 
 A polynomial is a dense tuple of coefficients, entry ``i`` holding the
 coefficient of ``x**i``.  Everything in this module is exact integer
-arithmetic; there is no floating point anywhere.
+arithmetic; there is no floating point anywhere.  Every product goes
+through one core, ``_conv`` (mod m via ``_mul`` and ``_prod``), every
+quotient mod m through ``_divmod``; ``try_exact_div`` divides over Z.
 
 Factorization follows the classical Zassenhaus route.  A polynomial
 that is squarefree modulo one of the primes 3..13 not dividing its
@@ -120,15 +122,7 @@ class IntPoly:
     def __mul__(self, other) -> "IntPoly":
         if isinstance(other, int):
             return IntPoly(c * other for c in self.coeffs)
-        other = _coerce(other)
-        if not self.coeffs or not other.coeffs:
-            return IntPoly()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return IntPoly(out)
+        return IntPoly(_conv(self.coeffs, _coerce(other).coeffs))
 
     __rmul__ = __mul__
     __radd__ = __add__
@@ -349,10 +343,8 @@ class FactorizationZ:
     factors: tuple[tuple[IntPoly, int], ...]
 
     def expand(self) -> IntPoly:
-        out = IntPoly.const(self.unit * self.content)
-        for f, m in self.factors:
-            out = out * f**m
-        return out
+        start = IntPoly.const(self.unit * self.content)
+        return math.prod((f**m for f, m in self.factors), start=start)
 
     def __str__(self) -> str:
         head = []
@@ -365,16 +357,13 @@ class FactorizationZ:
 
 
 # ---------------------------------------------------------------------------
-# arithmetic over Z/m (coefficient lists, little-endian, entries in [0, m));
-# m is a prime while factoring mod p and a power of it while Hensel lifting
+# the arithmetic core.  Over Z/m a polynomial is a coefficient list,
+# little-endian, entries in [0, m); m is a prime while factoring mod p
+# and a power of it while Hensel lifting
 
 
-def _trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-def _mul(a: list[int], b: list[int], m: int) -> list[int]:
+def _conv(a, b) -> list[int]:
+    # schoolbook product over Z of two coefficient sequences
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
@@ -382,7 +371,21 @@ def _mul(a: list[int], b: list[int], m: int) -> list[int]:
         if x:
             for j, y in enumerate(b):
                 out[i + j] += x * y
-    return _trim([c % m for c in out])
+    return out
+
+def _trim(a: list[int]) -> list[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+def _mul(a: list[int], b: list[int], m: int) -> list[int]:
+    return _trim([c % m for c in _conv(a, b)])
+
+def _prod(polys: Iterable[list[int]], m: int) -> list[int]:
+    out = [1]
+    for a in polys:
+        out = _mul(out, a, m)
+    return out
 
 def _add(a: list[int], b: list[int], m: int) -> list[int]:
     return _trim([(x + y) % m for x, y in itertools.zip_longest(a, b, fillvalue=0)])
@@ -394,22 +397,16 @@ def _divmod(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int]]:
     # b nonzero with leading coefficient invertible mod m (any b mod a
     # prime, a monic b mod a prime power)
     inv = pow(b[-1], -1, m)
+    db = len(b) - 1
     rem = [c % m for c in a]
-    _trim(rem)
-    if len(rem) < len(b):
-        return [], rem
-    q = [0] * (len(rem) - len(b) + 1)
+    q = [0] * (len(rem) - db)
     for i in range(len(q) - 1, -1, -1):
-        if len(rem) < len(b) + i:
-            continue
-        c = (rem[len(b) - 1 + i] * inv) % m
-        if c == 0:
-            continue
-        q[i] = c
-        for j, y in enumerate(b):
-            rem[i + j] = (rem[i + j] - c * y) % m
-        _trim(rem)
-    return _trim(q), rem
+        c = rem[i + db] * inv % m
+        if c:
+            q[i] = c
+            for j, y in enumerate(b):
+                rem[i + j] = (rem[i + j] - c * y) % m
+    return _trim(q), _trim(rem[:db])
 
 def _monic(a: list[int], p: int) -> list[int]:
     # a nonzero mod the prime p
@@ -473,10 +470,7 @@ def _equal_degree(g: list[int], d: int, p: int, rng: random.Random) -> list[list
         if 1 < len(c) < len(g):
             split = c
         else:
-            b = _ppowmod(a, e, g, p)
-            b = b[:]
-            b[0:1] = [(b[0] - 1) % p if b else (-1) % p]
-            split = _pgcd(_trim(b), g, p)
+            split = _pgcd(_sub(_ppowmod(a, e, g, p), [1], p), g, p)
             if not (1 < len(split) < len(g)):
                 continue
         rest = _divmod(g, split, p)[0]
@@ -487,9 +481,8 @@ def _squarefree_mod_p(f: IntPoly, p: int) -> bool:
     # f keeps its degree mod p and has no repeated factor there
     if f.leading() % p == 0:
         return False
-    fp = _trim([c % p for c in f.coeffs])
-    dfp = _trim([(i * c) % p for i, c in enumerate(f.coeffs)][1:])
-    return len(_pgcd(fp, dfp, p)) == 1
+    df = [i * c for i, c in enumerate(f.coeffs)][1:]
+    return len(_pgcd(f.coeffs, df, p)) == 1
 
 
 def _degree_set(parts: list[tuple[list[int], int]]) -> int:
@@ -516,10 +509,8 @@ def _bezout_mod_p(a: list[int], b: list[int], p: int) -> tuple[list[int], list[i
         s0, s1 = s1, _sub(s0, _mul(q, s1, p), p)
         t0, t1 = t1, _sub(t0, _mul(q, t1, p), p)
     assert len(r0) == 1, "factors not coprime mod p"
-    inv = pow(r0[0], -1, p)
-    s = [(c * inv) % p for c in s0]
-    t = [(c * inv) % p for c in t0]
-    return _trim(s), _trim(t)
+    inv = [pow(r0[0], -1, p)]
+    return _mul(s0, inv, p), _mul(t0, inv, p)
 
 
 def _hensel_pair(f: list[int], g: list[int], h: list[int],
@@ -549,12 +540,7 @@ def _hensel_tree(f: list[int], facs: list[list[int]], p: int, target: int) -> li
         return [[c % target for c in f]]
     half = len(facs) // 2
     left, right = facs[:half], facs[half:]
-    gl = [1]
-    for a in left:
-        gl = _mul(gl, a, p)
-    gr = [1]
-    for a in right:
-        gr = _mul(gr, a, p)
+    gl, gr = _prod(left, p), _prod(right, p)
     s, t = _bezout_mod_p(gl, gr, p)
     g, h, m = _hensel_pair(f, gl, gr, s, t, p, target)
     g = [c % target for c in g]
@@ -579,19 +565,28 @@ def _factor_monic_squarefree(h: IntPoly) -> list[IntPoly]:
     # the fewest modular factors.
     whole = 1 | 1 << deg
     mask = (1 << (deg + 1)) - 1
+    norm = math.isqrt(sum(c * c for c in h.coeffs)) + 1
     tried = []
-    good = (p for p in filter(is_prime, itertools.count(3, 2)) if _squarefree_mod_p(h, p))
-    for p in itertools.islice(good, 4):
+    rejected = 1
+    for p in filter(is_prime, itertools.count(3, 2)):
+        if not _squarefree_mod_p(h, p):
+            # p divides disc(h), and |disc h| <= deg^deg * norm^(2 deg - 1)
+            # (Hadamard on the Sylvester matrix of h and h')
+            rejected *= p
+            if rejected > deg**deg * norm ** (2 * deg - 1):
+                raise ArithmeticError(f"{h} is not squarefree")
+            continue
         parts = _distinct_degree([c % p for c in h.coeffs], p)
         mask &= _degree_set(parts)
         if mask == whole:
             return [h]
         tried.append((sum((len(g) - 1) // d for g, d in parts), p, parts))
+        if len(tried) == 4:
+            break
     _, p, parts = min(tried, key=operator.itemgetter(0))
     rng = random.Random(0xC0FFEE + p)
     facs = [f for g, d in parts for f in _equal_degree(g, d, p, rng)]
     # lift far enough that true factor coefficients sit in the symmetric range
-    norm = math.isqrt(sum(c * c for c in h.coeffs)) + 1
     bound = 2 * (norm << deg)
     target = p
     while target <= bound:
@@ -603,34 +598,25 @@ def _factor_monic_squarefree(h: IntPoly) -> list[IntPoly]:
     rem = h
     c = 1
     while 2 * c <= len(pool):
-        hit = None
         h0 = rem.constant()
         for idxs in itertools.combinations(range(len(pool)), c):
             # a true factor's degree is in the degree set
             if not mask >> sum(len(pool[i]) - 1 for i in idxs) & 1:
                 continue
-            t0 = 1
-            for i in idxs:
-                t0 = (t0 * pool[i][0]) % target
-            t0 = _symmetric(t0, target)
+            t0 = _symmetric(math.prod(pool[i][0] for i in idxs), target)
             if t0 == 0 or h0 % t0:
                 continue
-            prod = [1]
-            for i in idxs:
-                prod = _mul(prod, pool[i], target)
+            prod = _prod((pool[i] for i in idxs), target)
             cand = IntPoly(_symmetric(x, target) for x in prod)
             q = try_exact_div(rem, cand)
             if q is not None:
-                hit = (idxs, cand, q)
                 break
-        if hit is None:
+        else:
             c += 1
             continue
-        idxs, cand, q = hit
         out.append(cand)
         rem = q
-        keep = set(range(len(pool))) - set(idxs)
-        pool = [pool[i] for i in sorted(keep)]
+        pool = [g for i, g in enumerate(pool) if i not in idxs]
     if rem.degree() > 0:
         out.append(rem)
     return out
@@ -650,10 +636,7 @@ def _factor_primitive_squarefree(f: IntPoly) -> list[IntPoly]:
     for g in _factor_monic_squarefree(monic):
         back = g.scale_input(b)
         out.append(back.primitive_positive()[2])
-    prod = IntPoly((1,))
-    for g in out:
-        prod = prod * g
-    assert prod == f, "factor back-substitution failed"
+    assert math.prod(out, start=IntPoly.const(1)) == f, "factor back-substitution failed"
     return out
 
 

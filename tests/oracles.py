@@ -2,16 +2,31 @@
 library.  Everything here is deliberately naive and shares no code
 with the package: factorization by divisor interpolation, Lyndon
 words by rotation minimality, determinants by Laplace expansion,
-lattice membership by rational elimination."""
+lattice membership by rational elimination.  with_alarm bounds the
+time a check may take, so that a hang fails the suite."""
 
 from __future__ import annotations
 
 import itertools
 import math
 import random
+import signal
 from fractions import Fraction
 
 from resnil import IntMatrix, IntPoly
+
+
+def with_alarm(seconds, func):
+    def on_alarm(signum, frame):
+        raise TimeoutError(f"did not end in {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, on_alarm)
+    signal.alarm(seconds)
+    try:
+        return func()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,6 @@
 
 import math
 import random
-import signal
 
 import pytest
 
@@ -56,7 +55,7 @@ from resnil.zlinalg import (
     lattice_chain,
 )
 
-from oracles import random_unimodular
+from oracles import random_unimodular, with_alarm
 
 M = IntMatrix.from_rows
 
@@ -720,33 +719,13 @@ class TestAuditsFromPowerSums:
         p = 1000000000039
         A = companion2(1, 2 - p)
 
-        def on_alarm(signum, frame):
-            raise TimeoutError("classification did not end in 10 s")
-
-        old = signal.signal(signal.SIGALRM, on_alarm)
-        signal.alarm(10)
-        try:
-            v = classify_general(A)
-            recs = tensor_power_audit(A, 4, p=p) + lie_component_audit(A, 4, p=p)
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, old)
+        v, recs = with_alarm(10, lambda: (
+            classify_general(A),
+            tensor_power_audit(A, 4, p=p) + lie_component_audit(A, 4, p=p),
+        ))
         assert v.proven_primes() == (p,)
         assert all("primes" not in vars(r.af) for r in recs)
         assert recs[0].af_p_finite
-
-
-def _with_alarm(seconds, func):
-    def on_alarm(signum, frame):
-        raise TimeoutError(f"did not end in {seconds} s")
-
-    old = signal.signal(signal.SIGALRM, on_alarm)
-    signal.alarm(seconds)
-    try:
-        return func()
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, old)
 
 
 def _power_sum_path(A, K):
@@ -886,7 +865,7 @@ class TestPrimeExtraction:
         # tr - 2 = 2918000611027441 = 54018521^2 stalled trial division
         A = M([[2, 1], [1, 1]]).power(37)
         d = A.trace() - 2
-        v = _with_alarm(1, lambda: classify_general(A))
+        v = with_alarm(1, lambda: classify_general(A))
         ps = v.proven_primes()
         assert ps == (54018521,)
         for p in ps:

@@ -1,5 +1,6 @@
 """Integer polynomial arithmetic and factorization tests."""
 
+import itertools
 import random
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 import resnil.intpoly as intpoly
 from resnil.errors import ZeroPolynomial
 from resnil.intpoly import (
+    FactorizationZ,
     IntPoly,
     factor_over_Z,
     linear_root_profile,
@@ -16,7 +18,7 @@ from resnil.intpoly import (
     try_exact_div,
 )
 
-from oracles import brute_force_factor, library_factor_canonical
+from oracles import brute_force_factor, library_factor_canonical, with_alarm
 
 
 def rand_poly(rng, max_deg=4, lo=-30, hi=30, nonzero=False):
@@ -236,12 +238,16 @@ class TestFactorization:
 
     def test_oracle_agreement(self):
         rng = random.Random(37)
-        for _ in range(200):
-            deg = rng.randint(1, 4)
-            cs = [rng.randint(-50, 50) for _ in range(deg)]
-            lead = rng.randint(-50, 50) or 1
-            f = IntPoly(cs + [lead])
-            assert library_factor_canonical(f) == brute_force_factor(f)
+
+        def check():
+            for _ in range(200):
+                deg = rng.randint(1, 4)
+                cs = [rng.randint(-50, 50) for _ in range(deg)]
+                lead = rng.randint(-50, 50) or 1
+                f = IntPoly(cs + [lead])
+                assert library_factor_canonical(f) == brute_force_factor(f)
+
+        with_alarm(30, check)
 
 
 class TestModularShortcuts:
@@ -302,17 +308,109 @@ class TestModularShortcuts:
         sympy = pytest.importorskip("sympy")
         x = sympy.Symbol("x")
         rng = random.Random(83)
-        for _ in range(250):
-            f = IntPoly((rng.choice([1, -1, 2, -3, 6]),))
-            for _ in range(rng.randint(1, 3)):
-                cs = [rng.randint(-9, 9) for _ in range(rng.randint(1, 4))]
-                g = IntPoly(cs + [rng.choice([1, 1, -1, 2, 3, 5])])
-                f = f * g ** rng.choice([1, 1, 2, 3])
-            fac = factor_over_Z(f)
-            coeff, pairs = sympy.factor_list(sympy.Poly(f.coeffs[::-1], x))
-            assert fac.unit * fac.content == coeff
-            theirs = sorted((tuple(P.all_coeffs()[::-1]), m) for P, m in pairs)
-            assert sorted((g.coeffs, m) for g, m in fac.factors) == theirs
+
+        def check():
+            for _ in range(250):
+                f = IntPoly((rng.choice([1, -1, 2, -3, 6]),))
+                for _ in range(rng.randint(1, 3)):
+                    cs = [rng.randint(-9, 9) for _ in range(rng.randint(1, 4))]
+                    g = IntPoly(cs + [rng.choice([1, 1, -1, 2, 3, 5])])
+                    f = f * g ** rng.choice([1, 1, 2, 3])
+                fac = factor_over_Z(f)
+                coeff, pairs = sympy.factor_list(sympy.Poly(f.coeffs[::-1], x))
+                assert fac.unit * fac.content == coeff
+                theirs = sorted((tuple(P.all_coeffs()[::-1]), m) for P, m in pairs)
+                assert sorted((g.coeffs, m) for g, m in fac.factors) == theirs
+
+        with_alarm(30, check)
+
+    def test_prime_scan_ends_on_repeated_factors(self):
+        # every prime leaves (x-1)^2 and (x^2+1)^2 non-squarefree; the
+        # scan stops once the rejected primes outgrow the discriminant bound
+        for cs in ([1, -2, 1], [1, 0, 2, 0, 1]):
+            with pytest.raises(ArithmeticError):
+                with_alarm(5, lambda: intpoly._factor_monic_squarefree(IntPoly(cs)))
+
+
+def naive_mul(a, b, m):
+    n = len(a) + len(b) - 1
+    out = [sum(a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b)) % m
+           for k in range(n)]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def rand_mod_cases(seed, count):
+    # (a, b, m) with b's leading coefficient a unit mod m: any nonzero
+    # one mod a prime, 1 mod a prime power
+    rng = random.Random(seed)
+    for _ in range(count):
+        m = rng.choice([3, 5, 7, 101, 3**7, 10007**3])
+        a = [rng.randrange(-m, 2 * m) for _ in range(rng.randint(0, 14))]
+        lead = 1 if m in (3**7, 10007**3) else rng.randrange(1, m)
+        b = [rng.randrange(m) for _ in range(rng.randint(0, 7))] + [lead]
+        yield a, b, m
+
+
+class TestCore:
+    def test_divmod_is_euclidean_division(self):
+        for a, b, m in rand_mod_cases(89, 2400):
+            q, r = intpoly._divmod(a, b, m)
+            assert len(r) < len(b)
+            assert all(0 <= c < m for c in q + r)
+            assert (not q or q[-1]) and (not r or r[-1])
+            qb = naive_mul(q, b, m)
+            back = [(x + y) % m for x, y in itertools.zip_longest(qb, r, fillvalue=0)]
+            assert back == naive_mul(a, [1], m)  # a mod m, trimmed
+
+    def test_mul_and_prod_match_reference(self):
+        rng = random.Random(97)
+        for a, b, m in rand_mod_cases(97, 2400):
+            assert intpoly._mul(a, b, m) == naive_mul(a, b, m)
+            polys = [a, b] + [[rng.randrange(m) for _ in range(rng.randint(0, 4))]
+                              for _ in range(rng.randint(0, 3))]
+            ref = [1]
+            for g in polys:
+                ref = naive_mul(ref, g, m)
+            assert intpoly._prod(polys, m) == ref
+
+    def test_intpoly_mul_is_conv(self):
+        rng = random.Random(101)
+        for _ in range(500):
+            p, q = rand_poly(rng, max_deg=8, lo=-10**6, hi=10**6), rand_poly(rng, max_deg=8)
+            assert (p * q).coeffs == tuple(intpoly._conv(p.coeffs, q.coeffs))
+
+    def test_every_product_goes_through_conv(self, monkeypatch):
+        calls = []
+        stage = ["lift"]
+        real_conv, real_lift = intpoly._conv, intpoly._hensel_tree
+
+        def conv(a, b):
+            calls.append(stage[0])
+            return real_conv(a, b)
+
+        def lift(*args):
+            out = real_lift(*args)
+            stage[0] = "recombination"
+            return out
+
+        monkeypatch.setattr(intpoly, "_conv", conv)
+        monkeypatch.setattr(intpoly, "_hensel_tree", lift)
+        f = IntPoly([1, 0, -10, 0, 1])
+        steps = [
+            lambda: IntPoly([-1, 1]) * IntPoly([1, 1]),
+            lambda: FactorizationZ(1, 2, ((IntPoly([-1, 1]), 2),)).expand(),
+            lambda: factor_over_Z(f),
+        ]
+        for step in steps:
+            before = len(calls)
+            step()
+            assert len(calls) > before
+        # x^4 + 1: recombination multiplies out its candidate subsets
+        calls.clear()
+        intpoly._factor_monic_squarefree(IntPoly([1, 0, 0, 0, 1]))
+        assert "recombination" in calls
 
 
 class TestLinearRootProfile:
