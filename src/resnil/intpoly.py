@@ -6,7 +6,11 @@ arithmetic; there is no floating point anywhere.  Every product goes
 through one core, ``_conv`` (mod m via ``_mul`` and ``_prod``), every
 quotient mod m through ``_divmod``; ``try_exact_div`` divides over Z.
 
-Factorization follows the classical Zassenhaus route.  A polynomial
+A primitive polynomial of degree at most 2 is factored in closed form:
+a*x^2 + b*x + c splits over Z exactly when b^2 - 4ac is a perfect
+square.  Every orbit polynomial of a rank-2 action is of this kind.
+
+Higher degrees follow the classical Zassenhaus route.  A polynomial
 that is squarefree modulo one of the primes 3..13 not dividing its
 leading coefficient is squarefree over Z; only the others go through
 Yun's squarefree decomposition.  Each squarefree part gets its
@@ -431,8 +435,9 @@ def _ppowmod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
     while e:
         if e & 1:
             out = _divmod(_mul(out, base, p), mod, p)[1]
-        base = _divmod(_mul(base, base, p), mod, p)[1]
         e >>= 1
+        if e:
+            base = _divmod(_mul(base, base, p), mod, p)[1]
     return out
 
 
@@ -640,20 +645,26 @@ def _factor_primitive_squarefree(f: IntPoly) -> list[IntPoly]:
     return out
 
 
-def factor_over_Z(p: IntPoly) -> FactorizationZ:
-    """Complete factorization in Z[x] via the Zassenhaus method.
+def _factor_quadratic(f: IntPoly) -> list[tuple[IntPoly, int]]:
+    # f primitive of degree 1 or 2, positive leading coefficient.  a*x^2
+    # + b*x + c splits over Z exactly when b^2 - 4ac is a square s^2, into
+    # the primitive parts of 2a*x + b - s and 2a*x + b + s (Gauss's lemma)
+    if f.degree() == 1:
+        return [(f, 1)]
+    c, b, a = f.coeffs
+    disc = b * b - 4 * a * c
+    s = math.isqrt(disc) if disc > 0 else 0
+    if s * s != disc:
+        return [(f, 1)]
+    if s == 0:
+        return [(IntPoly((b, 2 * a)).primitive_positive()[2], 2)]
+    return [(IntPoly((b + t, 2 * a)).primitive_positive()[2], 1) for t in (-s, s)]
 
-    Raises ZeroPolynomial on zero input.  The reassembled product
-    (unit * content * prod factor^mult) equals p coefficient for
-    coefficient.
-    """
-    if p.is_zero():
-        raise ZeroPolynomial("cannot factor the zero polynomial")
-    unit, content, f = p.primitive_positive()
-    if f.degree() == 0:
-        return FactorizationZ(unit, content, ())
-    # f squarefree mod a prime not dividing lc(f) is squarefree over Z,
-    # which spares Yun's pseudo-remainder gcds in the common case
+
+def _factor_zassenhaus(f: IntPoly) -> list[tuple[IntPoly, int]]:
+    # f primitive with positive leading coefficient.  f squarefree mod a
+    # prime not dividing lc(f) is squarefree over Z, which spares Yun's
+    # pseudo-remainder gcds in the common case
     if any(_squarefree_mod_p(f, q) for q in (3, 5, 7, 11, 13)):
         parts = [(f, 1)]
     else:
@@ -669,7 +680,27 @@ def factor_over_Z(p: IntPoly) -> FactorizationZ:
             continue
         for irr in _factor_primitive_squarefree(part):
             counts[irr] = counts.get(irr, 0) + mult
-    factors = tuple(sorted(counts.items(), key=lambda fm: fm[0].sort_key()))
+    return list(counts.items())
+
+
+def factor_over_Z(p: IntPoly) -> FactorizationZ:
+    """Complete factorization in Z[x]: a primitive part of degree <= 2
+    in closed form, a higher one via the Zassenhaus method.
+
+    Raises ZeroPolynomial on zero input.  The reassembled product
+    (unit * content * prod factor^mult) equals p coefficient for
+    coefficient.
+    """
+    if p.is_zero():
+        raise ZeroPolynomial("cannot factor the zero polynomial")
+    unit, content, f = p.primitive_positive()
+    if f.degree() == 0:
+        return FactorizationZ(unit, content, ())
+    if f.degree() <= 2:
+        pairs = _factor_quadratic(f)
+    else:
+        pairs = _factor_zassenhaus(f)
+    factors = tuple(sorted(pairs, key=lambda fm: fm[0].sort_key()))
     result = FactorizationZ(unit, content, factors)
     assert result.expand() == p, "factorization reassembly failed"
     return result

@@ -52,15 +52,21 @@ def _mobius(d: int) -> int:
     return out
 
 
+def _divisors(k: int) -> list[int]:
+    # the divisors of k >= 1, unordered, by trial division up to sqrt(k)
+    out = []
+    for d in range(1, math.isqrt(k) + 1):
+        if k % d == 0:
+            out.extend({d, k // d})
+    return out
+
+
 def witt_dimension(n: int, k: int) -> int:
     """Number of Lyndon words of length k over n symbols:
     (1/k) * sum over d | k of mobius(d) * n^(k/d)."""
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
-    total = 0
-    for d in range(1, k + 1):
-        if k % d == 0:
-            total += _mobius(d) * n ** (k // d)
+    total = sum(_mobius(d) * n ** (k // d) for d in _divisors(k))
     assert total % k == 0
     return total // k
 
@@ -75,13 +81,14 @@ def lyndon_count(content) -> int:
     if not content or any(c < 1 for c in content):
         raise ValueError("need a nonempty content of positive counts")
     k = sum(content)
-    g = math.gcd(*content)
     total = 0
-    for d in range(1, g + 1):
-        if g % d == 0 and (mu := _mobius(d)):
-            words = math.factorial(k // d)
+    for d in _divisors(math.gcd(*content)):
+        if mu := _mobius(d):
+            # the multinomial (k/d)! / prod (c_r/d)! as a product of binomials
+            words, seen = 1, 0
             for c in content:
-                words //= math.factorial(c // d)
+                seen += c // d
+                words *= math.comb(seen, c // d)
             total += mu * words
     if total % k:
         raise ArithmeticError(f"Witt sum {total} is not divisible by {k}")
@@ -104,7 +111,7 @@ def lie_power_sums(traces, k: int, count: int) -> list[int]:
     tr(A^j | L_k) = (1/k) * sum over d | k of mobius(d) * tr(A^(jd))^(k/d).
     At A = E it is witt_dimension.
     """
-    terms = [(d, mu) for d in range(1, k + 1) if k % d == 0 and (mu := _mobius(d))]
+    terms = [(d, mu) for d in _divisors(k) if (mu := _mobius(d))]
     out = []
     for j in range(1, count + 1):
         total = sum(mu * traces[j * d - 1] ** (k // d) for d, mu in terms)

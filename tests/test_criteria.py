@@ -6,6 +6,7 @@ import random
 import pytest
 
 import resnil.criteria as criteria
+import resnil.intpoly as intpoly
 from resnil.criteria import (
     ANCHORS,
     AfResult,
@@ -833,6 +834,29 @@ class TestOrbitTypes:
         classify_general(M([[-1]]), tensor_bound=K)
         assert max(calls) >= K
         assert len(calls) <= math.log2(K) + 2
+
+    def test_rank_one_large_bound_ends(self):
+        # no cap trips at rank 1; each level costs divisors up to sqrt(k)
+        v = with_alarm(5, lambda: classify_general(M([[-1]]), tensor_bound=4000))
+        assert isinstance(v, Verdict)
+
+    def test_rank_two_audits_never_enter_zassenhaus(self, monkeypatch):
+        # every orbit polynomial of a rank-2 action has degree <= 2
+        actions = [M([[2, 1], [1, 1]]), M([[0, 1], [1, 0]])]
+        expected = [classify_general(A, tensor_bound=6).to_dict() for A in actions]
+
+        def refuse(*args):
+            raise AssertionError("a rank-2 audit entered the Zassenhaus route")
+
+        for name in ("_distinct_degree", "squarefree_decomposition", "_hensel_tree"):
+            monkeypatch.setattr(intpoly, name, refuse)
+        factored = []
+        monkeypatch.setattr(criteria, "factor_over_Z",
+                            lambda P: factored.append(P) or factor_over_Z(P))
+        for A, want in zip(actions, expected):
+            before = len(factored)
+            assert classify_general(A, tensor_bound=6).to_dict() == want
+            assert len(factored) > before
 
     def test_caps_checked_before_any_work(self, monkeypatch):
         def refuse(P):

@@ -290,8 +290,9 @@ class TestModularShortcuts:
         assert factor_over_Z(f * 6).factors == ((f, 1),)
 
     def test_not_squarefree_mod_small_primes_reaches_yun(self, monkeypatch):
-        # (x - 1)(x - 1 - 15015), 15015 = 3*5*7*11*13: a double root
-        # mod each of those primes, but two distinct simple factors
+        # (x - 1)(x - 1 - 15015)(x^3 - x - 1), 15015 = 3*5*7*11*13: a
+        # double root mod each of those primes, but three distinct simple
+        # factors; of degree 5, since quadratics never reach Yun
         calls = []
         real = intpoly.squarefree_decomposition
 
@@ -300,13 +301,12 @@ class TestModularShortcuts:
             return real(f)
 
         monkeypatch.setattr(intpoly, "squarefree_decomposition", counting)
-        a, b = IntPoly([-1, 1]), IntPoly([-15016, 1])
-        assert factor_over_Z(a * b).factors == ((b, 1), (a, 1))
+        a, b, c = IntPoly([-1, 1]), IntPoly([-15016, 1]), IntPoly([-1, -1, 0, 1])
+        assert factor_over_Z(a * b * c).factors == ((b, 1), (a, 1), (c, 1))
         assert len(calls) == 1
 
     def test_sympy_cross_check(self):
         sympy = pytest.importorskip("sympy")
-        x = sympy.Symbol("x")
         rng = random.Random(83)
 
         def check():
@@ -316,11 +316,7 @@ class TestModularShortcuts:
                     cs = [rng.randint(-9, 9) for _ in range(rng.randint(1, 4))]
                     g = IntPoly(cs + [rng.choice([1, 1, -1, 2, 3, 5])])
                     f = f * g ** rng.choice([1, 1, 2, 3])
-                fac = factor_over_Z(f)
-                coeff, pairs = sympy.factor_list(sympy.Poly(f.coeffs[::-1], x))
-                assert fac.unit * fac.content == coeff
-                theirs = sorted((tuple(P.all_coeffs()[::-1]), m) for P, m in pairs)
-                assert sorted((g.coeffs, m) for g, m in fac.factors) == theirs
+                assert str(factor_over_Z(f)) == sympy_factorization(sympy, f)
 
         with_alarm(30, check)
 
@@ -330,6 +326,80 @@ class TestModularShortcuts:
         for cs in ([1, -2, 1], [1, 0, 2, 0, 1]):
             with pytest.raises(ArithmeticError):
                 with_alarm(5, lambda: intpoly._factor_monic_squarefree(IntPoly(cs)))
+
+
+def sympy_factorization(sympy, f):
+    # str of the FactorizationZ that sympy.factor_list gives for f
+    coeff, pairs = sympy.factor_list(sympy.Poly(f.coeffs[::-1], sympy.Symbol("x")))
+    factors = sorted(((IntPoly([int(c) for c in P.all_coeffs()[::-1]]), m) for P, m in pairs),
+                     key=lambda fm: fm[0].sort_key())
+    return str(FactorizationZ(1 if coeff > 0 else -1, abs(int(coeff)), tuple(factors)))
+
+
+def rand_quadratics(seed, count):
+    # random trinomials with coefficients up to 10^40, and products of
+    # two random linear factors (equal ones give double roots) times a
+    # signed content; a fifth have constant term 0, a third are monic
+    rng = random.Random(seed)
+    for i in range(count):
+        bound = 10 ** rng.choice([1, 2, 3, 6, 12, 20])
+        lead = 1 if rng.random() < 0.34 else rng.randint(1, bound)
+        if i % 2:
+            f = IntPoly([rng.randint(-bound, bound), lead])
+            if rng.random() < 0.2:
+                f = f * f
+            else:
+                b = 0 if rng.random() < 0.2 else rng.randint(-bound, bound)
+                f = f * IntPoly([b, rng.choice([1, 1, -1, rng.randint(-bound, bound) or 1])])
+            yield f * rng.choice([1, 1, -1, 2, -6, 35, 10**20])
+        else:
+            bound *= bound
+            cs = [rng.randint(-bound, bound) for _ in range(2)] + [lead * rng.choice([1, -1])]
+            if rng.random() < 0.2:
+                cs[0] = 0
+            yield IntPoly(cs)
+
+
+class TestQuadratics:
+    def test_sympy_cross_check(self):
+        sympy = pytest.importorskip("sympy")
+        # x^2, a root at 0, a double root, no real root, 10^40 - x^2
+        fixed = [IntPoly(cs) for cs in ([0, 0, 1], [0, 3, 6], [9, -12, 4], [-3, 0, -6],
+                                        [10**40, 0, -1])]
+
+        def check():
+            split = 0
+            for f in itertools.chain(fixed, rand_quadratics(103, 3200)):
+                ours = factor_over_Z(f)
+                assert str(ours) == sympy_factorization(sympy, f), f
+                split += len(ours.factors) > 1 or ours.factors[0][1] > 1
+            # both branches of the closed form are exercised
+            assert 800 < split < 2400
+
+        with_alarm(60, check)
+
+    def test_monic_squarefree_matches_modular_route(self):
+        seen = 0
+        for f in rand_quadratics(107, 3000):
+            _, _, g = f.primitive_positive()
+            if g.degree() != 2 or not g.is_monic() or g.constant() == 0:
+                continue
+            c, b, _ = g.coeffs
+            if b * b == 4 * c:
+                continue
+            seen += 1
+            modular = sorted(intpoly._factor_monic_squarefree(g), key=IntPoly.sort_key)
+            assert [h for h, _ in factor_over_Z(g).factors] == modular
+        assert seen > 500
+
+    def test_quadratics_skip_the_modular_route(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a quadratic entered the Zassenhaus route")
+
+        for name in ("_squarefree_mod_p", "squarefree_decomposition", "_factor_primitive_squarefree"):
+            monkeypatch.setattr(intpoly, name, refuse)
+        for f in rand_quadratics(109, 300):
+            assert factor_over_Z(f).expand() == f
 
 
 def naive_mul(a, b, m):
@@ -374,6 +444,22 @@ class TestCore:
             for g in polys:
                 ref = naive_mul(ref, g, m)
             assert intpoly._prod(polys, m) == ref
+
+    def test_powmod_matches_repeated_multiplication(self):
+        # every power up to max(70, p^d) by repeated _mul/_divmod
+        rng = random.Random(113)
+        for p, d in ((3, 1), (3, 4), (5, 3), (7, 2), (7, 4), (101, 1), (101, 2)):
+            for _ in range(3):
+                mod = [rng.randrange(p) for _ in range(d)] + [1]
+                base = [rng.randrange(p) for _ in range(rng.randint(0, 8))]
+                step = intpoly._divmod(base, mod, p)[1]
+                powers = [[1]]
+                while len(powers) <= max(70, p**d):
+                    powers.append(intpoly._divmod(intpoly._mul(powers[-1], step, p), mod, p)[1])
+                exps = list(range(71)) + [(p**d - 1) // 2, p**d]
+                exps += [rng.randrange(p**d) for _ in range(20)]
+                for e in exps:
+                    assert intpoly._ppowmod(base, e, mod, p) == powers[e]
 
     def test_intpoly_mul_is_conv(self):
         rng = random.Random(101)

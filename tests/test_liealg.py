@@ -1,6 +1,7 @@
 """Free Lie algebra tests: Lyndon bases, brackets, induced matrices."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -61,6 +62,32 @@ class TestWittDimension:
                     assert lyndon_count(present) == counts.get(content, 0)
         with pytest.raises(ValueError):
             lyndon_count((2, 0))
+
+    def test_divisor_sums_match_full_scan(self):
+        # the formulas summed over every d in 1..k, with factorials
+        def mobius(d):
+            primes = [p for p in range(2, d + 1) if d % p == 0 and all(p % q for q in range(2, p))]
+            return 0 if any(d % (p * p) == 0 for p in primes) else (-1) ** len(primes)
+
+        def partitions(k, top):
+            if k == 0:
+                yield ()
+            for first in range(min(k, top), 0, -1):
+                for rest in partitions(k - first, first):
+                    yield (first,) + rest
+
+        for k in range(1, 40):
+            divs = [d for d in range(1, k + 1) if k % d == 0]
+            for n in range(1, 7):
+                assert witt_dimension(n, k) == sum(mobius(d) * n ** (k // d) for d in divs) // k
+        for k in range(1, 19):
+            for mu in partitions(k, k):
+                g = math.gcd(*mu)
+                total = sum(
+                    mobius(d) * math.factorial(k // d) // math.prod(math.factorial(c // d) for c in mu)
+                    for d in range(1, g + 1) if g % d == 0
+                )
+                assert lyndon_count(mu) == total // k
 
 
 class TestLyndonBasis:
