@@ -44,7 +44,6 @@ from .zlinalg import (
     IntMatrix,
     SubLattice,
     char_poly,
-    compound_matrix,
     determinant,
     is_unimodular,
     kronecker_power,  # unused here; perfbench/spans.py wraps this name
@@ -453,7 +452,8 @@ def _partitions(k: int, parts: int, largest: Optional[int] = None):
 
 class _GradedFactors:
     """Irreducible factors of the graded components of the action of A,
-    by orbit type.  One instance lives for one classification.
+    by orbit type.  One instance lives for one classification (or one
+    Mikhailov check, built on A - E).
 
     The roots of char(A^{(x)k}) are the products of k eigenvalues of A.
     Grouped by exponent pattern, a partition mu of k into at most n
@@ -559,14 +559,14 @@ def mod_p_unipotency(A: IntMatrix, p: int) -> Optional[int]:
 
 def mikhailov_module_check(A: IntMatrix) -> bool:
     """True when no product of k eigenvalues of A - E equals +-1 for
-    any k in 1..n, tested exactly through compound matrices: both
-    det(C_k(A-E) - E) and det(C_k(A-E) + E) must be nonzero."""
+    any k in 1..n, tested exactly on the orbit polynomials P_(1^k) of
+    A - E: their roots are these products (the eigenvalues of the
+    compound matrix C_k(A - E)), so neither P(1) nor P(-1) may vanish."""
     _require_square(A)
-    B = A.minus_identity()
+    graded = _GradedFactors(A.minus_identity())
     for k in range(1, A.rows + 1):
-        C = compound_matrix(B, k)
-        eye = IntMatrix.identity(C.rows)
-        if determinant(C - eye) == 0 or determinant(C + eye) == 0:
+        P = graded._orbit_poly((1,) * k)
+        if P.evaluate(1) == 0 or P.evaluate(-1) == 0:
             return False
     return True
 
@@ -954,13 +954,16 @@ def classify_general(
                 )
             )
 
-    # (A-E)^N = 0 mod p makes char(A) = (x-1)^n mod p, so p divides every
-    # factor value at 1: every prime with a certificate is in af.primes
-    for p in af.primes:
-        if all_flag or p in proven:
-            continue
-        N = mod_p_unipotency(A, p)
-        if N is not None:
+    # p has a certificate (A-E)^N = 0 mod p, N <= n, exactly when p divides
+    # every entry of (A-E)^n; then char(A) = (x-1)^n mod p, so p divides
+    # every factor value at 1 too, and only the gcd of both is factored
+    if not all_flag:
+        g = math.gcd(*A.minus_identity().power(n).entries, *af.values())
+        for p in prime_divisors(g):
+            if p in proven:
+                continue
+            N = mod_p_unipotency(A, p)
+            assert N is not None
             proven.add(p)
             witnesses.append(
                 make_witness(

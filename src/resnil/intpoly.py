@@ -139,8 +139,9 @@ class IntPoly:
         while e:
             if e & 1:
                 out = out * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return out
 
     def evaluate(self, x: int) -> int:

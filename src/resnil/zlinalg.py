@@ -156,8 +156,9 @@ class IntMatrix:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     def mod(self, m: int) -> "IntMatrix":
@@ -286,6 +287,10 @@ def compound_matrix(M: IntMatrix, k: int) -> IntMatrix:
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    # (g, s, t) with g = s*a + t*b = +-gcd(a, b); (a, 1, 0) when a divides b,
+    # so a pivot that divides its column keeps its row (smith_form ends on it)
+    if b % a == 0:
+        return a, 1, 0
     old_r, r = a, b
     old_s, s = 1, 0
     old_t, t = 0, 1
@@ -297,37 +302,34 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _row_hermite(A: IntMatrix) -> tuple[list[list[int]], list[list[int]]]:
-    # canonical row Hermite form R = W * A, W unimodular
-    m, n = A.rows, A.cols
-    R = A.to_rows()
-    W = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+def _transposed(R: list[list[int]], cols: int) -> list[list[int]]:
+    return [[r[j] for r in R] for j in range(cols)]
+
+
+def _row_hermite(R: list[list[int]], W: list[list[int]]) -> None:
+    # R to canonical row Hermite form in place by unimodular row operations,
+    # each also applied to W, so W is left-multiplied by the transform
+    m = len(R)
+    n = len(R[0]) if m else 0
     prow = 0
     for col in range(n):
         if prow == m:
             break
-        pivot = None
-        for i in range(prow, m):
-            if R[i][col]:
-                pivot = i
-                break
+        pivot = next((i for i in range(prow, m) if R[i][col]), None)
         if pivot is None:
             continue
-        if pivot != prow:
-            R[prow], R[pivot] = R[pivot], R[prow]
-            W[prow], W[pivot] = W[pivot], W[prow]
+        R[prow], R[pivot] = R[pivot], R[prow]
+        W[prow], W[pivot] = W[pivot], W[prow]
         for i in range(prow + 1, m):
             if not R[i][col]:
                 continue
             a, b = R[prow][col], R[i][col]
             g, s, t = _xgcd(a, b)
             u, v = a // g, b // g
-            rp, ri = R[prow], R[i]
-            R[prow] = [s * x + t * y for x, y in zip(rp, ri)]
-            R[i] = [u * y - v * x for x, y in zip(rp, ri)]
-            wp, wi = W[prow], W[i]
-            W[prow] = [s * x + t * y for x, y in zip(wp, wi)]
-            W[i] = [u * y - v * x for x, y in zip(wp, wi)]
+            for X in (R, W):
+                xp, xi = X[prow], X[i]
+                X[prow] = [s * x + t * y for x, y in zip(xp, xi)]
+                X[i] = [u * y - v * x for x, y in zip(xp, xi)]
         if R[prow][col] < 0:
             R[prow] = [-x for x in R[prow]]
             W[prow] = [-x for x in W[prow]]
@@ -338,7 +340,6 @@ def _row_hermite(A: IntMatrix) -> tuple[list[list[int]], list[list[int]]]:
                 R[i] = [x - q * y for x, y in zip(R[i], R[prow])]
                 W[i] = [x - q * y for x, y in zip(W[i], W[prow])]
         prow += 1
-    return R, W
 
 
 def hermite_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
@@ -349,9 +350,10 @@ def hermite_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     positive; pivot rows strictly increase left to right; entries to the
     left of a pivot in the pivot's row are reduced into [0, pivot).
     """
-    R, W = _row_hermite(M.transpose())
-    H = IntMatrix.from_rows(R).transpose()
-    U = IntMatrix.from_rows(W).transpose()
+    R, W = M.transpose().to_rows(), IntMatrix.identity(M.cols).to_rows()
+    _row_hermite(R, W)
+    H = IntMatrix(M.cols, M.rows, itertools.chain(*R)).transpose()
+    U = IntMatrix(M.cols, M.cols, itertools.chain(*W)).transpose()
     return H, U
 
 
@@ -435,82 +437,33 @@ class SmithForm:
 
 
 def smith_form(M: IntMatrix) -> SmithForm:
-    """Smith normal form with recorded row and column transforms."""
+    """Smith normal form with recorded row and column transforms.
+
+    Alternates row Hermite forms of D and of its transpose until D is
+    diagonal (Kannan and Bachem 1979), then, while some d_i does not
+    divide d_(i+1), adds column i+1 to column i and repeats.  It ends:
+    each pass finishes the first unfinished pivot or strictly lowers it,
+    and each added column lowers some d_i and keeps d_1..d_(i-1).
+    """
     m, n = M.rows, M.cols
-    A = M.to_rows()
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for r in A:
-            r[i], r[j] = r[j], r[i]
-        for r in V:
-            r[i], r[j] = r[j], r[i]
-
-    def addmul_row(dst, src, q):
-        A[dst] = [x + q * y for x, y in zip(A[dst], A[src])]
-        U[dst] = [x + q * y for x, y in zip(U[dst], U[src])]
-
-    def addmul_col(dst, src, q):
-        for r in A:
-            r[dst] += q * r[src]
-        for r in V:
-            r[dst] += q * r[src]
-
-    def negate_row(i):
-        A[i] = [-x for x in A[i]]
-        U[i] = [-x for x in U[i]]
-
-    for s in range(min(m, n)):
-        while True:
-            best = None
-            for i in range(s, m):
-                for j in range(s, n):
-                    if A[i][j] and (best is None or abs(A[i][j]) < abs(A[best[0]][best[1]])):
-                        best = (i, j)
-            if best is None:
-                break
-            if best != (s, s):
-                if best[0] != s:
-                    swap_rows(s, best[0])
-                if best[1] != s:
-                    swap_cols(s, best[1])
-            if A[s][s] < 0:
-                negate_row(s)
-            p = A[s][s]
-            clean = True
-            for i in range(s + 1, m):
-                q = A[i][s] // p
-                if q:
-                    addmul_row(i, s, -q)
-                if A[i][s]:
-                    clean = False
-            for j in range(s + 1, n):
-                q = A[s][j] // p
-                if q:
-                    addmul_col(j, s, -q)
-                if A[s][j]:
-                    clean = False
-            if not clean:
-                continue
-            offender = None
-            for i in range(s + 1, m):
-                for j in range(s + 1, n):
-                    if A[i][j] % p:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            addmul_row(s, offender, 1)
-    divisors = tuple(A[i][i] for i in range(min(m, n)))
-    D = IntMatrix(m, n, [A[i][j] if i == j else 0 for i in range(m) for j in range(n)])
-    return SmithForm(D, IntMatrix.from_rows(U), IntMatrix.from_rows(V), divisors)
+    D, U, Vt = M.to_rows(), IntMatrix.identity(m).to_rows(), IntMatrix.identity(n).to_rows()
+    while True:
+        _row_hermite(D, U)
+        Dt = _transposed(D, n)
+        _row_hermite(Dt, Vt)
+        D = _transposed(Dt, m)
+        if any(D[i][j] for i in range(m) for j in range(n) if i != j):
+            continue
+        ds = tuple(D[i][i] for i in range(min(m, n)))
+        i = next((i for i in range(len(ds) - 1) if math.gcd(ds[i], ds[i + 1]) != ds[i]), None)
+        if i is None:
+            break
+        # add column i+1 to column i; D is diagonal, so one entry changes
+        D[i + 1][i] = ds[i + 1]
+        Vt[i] = [x + y for x, y in zip(Vt[i], Vt[i + 1])]
+    V = IntMatrix(n, n, itertools.chain(*Vt)).transpose()
+    D, U = IntMatrix(m, n, itertools.chain(*D)), IntMatrix(m, m, itertools.chain(*U))
+    return SmithForm(D, U, V, ds)
 
 
 def lattice_chain(A: IntMatrix, K: int) -> list[SubLattice]:

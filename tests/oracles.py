@@ -2,31 +2,47 @@
 library.  Everything here is deliberately naive and shares no code
 with the package: factorization by divisor interpolation, Lyndon
 words by rotation minimality, determinants by Laplace expansion,
-lattice membership by rational elimination.  with_alarm bounds the
-time a check may take, so that a hang fails the suite."""
+Smith invariants by gcds of minors, lattice membership by rational
+elimination.  alarm and with_alarm bound the time a check may take,
+so that a hang fails the suite."""
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import random
 import signal
+import time
 from fractions import Fraction
 
 from resnil import IntMatrix, IntPoly
 
 
-def with_alarm(seconds, func):
+@contextlib.contextmanager
+def alarm(seconds):
+    """Raise TimeoutError in the block after `seconds`; an alarm that was
+    already set is re-armed on exit with the time it had left."""
+
     def on_alarm(signum, frame):
         raise TimeoutError(f"did not end in {seconds} s")
 
     old = signal.signal(signal.SIGALRM, on_alarm)
-    signal.alarm(seconds)
+    outer = signal.setitimer(signal.ITIMER_REAL, seconds)[0]
+    start = time.monotonic()
     try:
-        return func()
+        yield
     finally:
-        signal.alarm(0)
+        signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, old)
+        if outer:
+            left = outer - (time.monotonic() - start)
+            signal.setitimer(signal.ITIMER_REAL, max(left, 0.001))
+
+
+def with_alarm(seconds, func):
+    with alarm(seconds):
+        return func()
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +209,20 @@ def laplace_det(rows: list[list[int]]) -> int:
         minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
         total += (-1) ** j * rows[0][j] * laplace_det(minor)
     return total
+
+
+def determinantal_divisors(M: IntMatrix) -> tuple[int, ...]:
+    """gcd of the k x k minors for k = 1..min(m, n), each by Laplace
+    expansion; d_1 * ... * d_k of the Smith invariants equals the k-th."""
+    rows = M.to_rows()
+    out = []
+    for k in range(1, min(M.rows, M.cols) + 1):
+        g = 0
+        for S in itertools.combinations(range(M.rows), k):
+            for T in itertools.combinations(range(M.cols), k):
+                g = math.gcd(g, laplace_det([[rows[i][j] for j in T] for i in S]))
+        out.append(g)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

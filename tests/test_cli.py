@@ -3,7 +3,6 @@
 import io
 import json
 import os
-import signal
 import subprocess
 import sys
 
@@ -22,6 +21,8 @@ from resnil.cli import (
 from resnil.criteria import Certainty, Verdict, classify_general
 from resnil.errors import DimensionMismatch, NotPrime, WordSyntaxError
 from resnil.freegroup import abelianization_matrix, endo_power
+
+from oracles import with_alarm
 
 
 class TestInputParsing:
@@ -236,16 +237,9 @@ class TestExitCodes:
     def test_high_tensor_bound_ends(self, capsys):
         # x^3 - 5x + 1 at K = 7: char(A^{(x)7}) has degree 2187, its
         # largest orbit polynomial degree 6
-        def on_alarm(signum, frame):
-            raise TimeoutError("the audits did not end in 5 s")
-
-        old = signal.signal(signal.SIGALRM, on_alarm)
-        signal.alarm(5)
-        try:
-            code = main(["--matrix", "[[0,0,-1],[1,0,5],[0,1,0]]", "--tensor-bound", "7"])
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, old)
+        code = with_alarm(
+            5, lambda: main(["--matrix", "[[0,0,-1],[1,0,5],[0,1,0]]", "--tensor-bound", "7"])
+        )
         assert code == 0
         assert "verified up to bound 7" in capsys.readouterr().out
 

@@ -51,6 +51,7 @@ from resnil.liealg import (
 from resnil.zlinalg import (
     IntMatrix,
     char_poly,
+    compound_matrix,
     determinant,
     kronecker_power,
     lattice_chain,
@@ -326,6 +327,29 @@ class TestMikhailovModule:
         # A - E = E: already the first compound has the eigenvalue 1
         assert not mikhailov_module_check(M([[2, 0], [0, 2]]))
 
+    def test_matches_compound_determinants(self):
+        # the roots of P_(1^k)(A - E) are the eigenvalues of the compound
+        # C_k(A - E): the check is det(C_k -+ E) != 0 for every k
+        def by_compounds(A):
+            B = A.minus_identity()
+            for k in range(1, A.rows + 1):
+                C = compound_matrix(B, k)
+                E = IntMatrix.identity(C.rows)
+                if determinant(C - E) == 0 or determinant(C + E) == 0:
+                    return False
+            return True
+
+        rng = random.Random(227)
+        seen = set()
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            lo = rng.choice((1, 2, 9))
+            A = IntMatrix(n, n, [rng.randint(-lo, lo) for _ in range(n * n)])
+            expect = by_compounds(A)
+            assert mikhailov_module_check(A) == expect, A.to_rows()
+            seen.add(expect)
+        assert seen == {True, False}
+
 
 class TestAudits:
     def test_tensor_audit_trace_three(self):
@@ -583,6 +607,33 @@ class TestClassifyGeneral:
             assert v.proven_primes() == radical(content), A.to_rows()
             hits += bool(v.proven_primes())
         assert hits >= 10
+
+    def test_only_content_primes_are_tried(self, monkeypatch):
+        # x^3 - 5x + 1 takes -3 at 1, but 3 does not divide every entry
+        # of (A-E)^3, so no unipotency certificate is sought for it
+        calls = []
+        unipotency = criteria.mod_p_unipotency
+        monkeypatch.setattr(
+            criteria, "mod_p_unipotency", lambda A, p: calls.append(p) or unipotency(A, p)
+        )
+        A = M([[0, 0, -1], [1, 0, 5], [0, 1, 0]])
+        v = classify_general(A, tensor_bound=1)
+        assert calls == [] and v.proven_primes() == ()
+        v = classify_general(M([[0, 0, 1], [1, 0, 3], [0, 1, 3]]), tensor_bound=1)
+        assert calls == [2, 3] and v.proven_primes() == (2, 3)
+
+    def test_unprovable_factor_value_is_not_factored(self):
+        # P, the next prime after 7 * psi_13, is too large for a
+        # Miller-Rabin proof and is the only factor value at 1; it does
+        # not divide every entry of (A-E)^3, so it is never factored
+        P = 23219308452759211701733901
+        A = M([[0, 0, -1], [1, 0, 2 + P], [0, 1, 0]])
+        assert criteria._GradedFactors(A).level(1, lie=False).values() == (-P,)
+        with pytest.raises(PrimalityUnproven):
+            prime_divisors(P)
+        v = with_alarm(10, lambda: classify_general(A))
+        assert v.residually_nilpotent == (None, Certainty.unknown())
+        assert v.proven_primes() == ()
 
     def test_every_claim_carries_a_witness_anchor(self):
         rng = random.Random(223)

@@ -86,6 +86,19 @@ class TestArithmetic:
             q = rand_poly(rng)
             assert (p * q).derivative() == p.derivative() * q + p * q.derivative()
 
+    def test_power_by_repeated_products(self, monkeypatch):
+        p = IntPoly([3, -1, 2])
+        expect = IntPoly((1,))
+        products = []
+        mul = IntPoly.__mul__
+        monkeypatch.setattr(IntPoly, "__mul__", lambda f, g: products.append(1) or mul(f, g))
+        for e in range(41):
+            products.clear()
+            assert p**e == expect
+            # a product per set bit and a squaring per further bit, no more
+            assert len(products) == (e.bit_length() - 1 + bin(e).count("1") if e else 0)
+            expect = mul(expect, p)
+
     def test_scale_input(self):
         p = IntPoly([1, 2, 3])
         q = p.scale_input(5)

@@ -1,5 +1,6 @@
 """Exact integer linear algebra tests."""
 
+import math
 import random
 
 import pytest
@@ -26,7 +27,12 @@ from resnil.zlinalg import (
     smith_form,
 )
 
-from oracles import laplace_det, member_by_elimination, random_unimodular
+from oracles import (
+    determinantal_divisors,
+    laplace_det,
+    member_by_elimination,
+    random_unimodular,
+)
 
 
 def rand_matrix(rng, n, lo=-9, hi=9):
@@ -79,6 +85,19 @@ class TestIntMatrix:
         A = IntMatrix.from_rows([[1, 1], [0, 1]])
         assert A.power(0) == IntMatrix.identity(2)
         assert A.power(5).to_rows() == [[1, 5], [0, 1]]
+
+    def test_power_by_repeated_products(self, monkeypatch):
+        A = IntMatrix.from_rows([[2, -1, 0], [1, 3, 1], [0, 1, -1]])
+        expect = IntMatrix.identity(3)
+        products = []
+        mul = IntMatrix.__mul__
+        monkeypatch.setattr(IntMatrix, "__mul__", lambda X, Y: products.append(1) or mul(X, Y))
+        for e in range(41):
+            products.clear()
+            assert A.power(e) == expect
+            # a product per set bit and a squaring per further bit, no more
+            assert len(products) == (e.bit_length() - 1 + bin(e).count("1") if e else 0)
+            expect = mul(expect, A)
 
     def test_mod_and_minus_identity(self):
         A = IntMatrix.from_rows([[5, -1], [3, 7]])
@@ -211,9 +230,8 @@ class TestCompoundMatrix:
 class TestHermite:
     def test_column_relation_and_unimodularity(self):
         rng = random.Random(79)
-        for _ in range(40):
-            n = rng.randint(1, 4)
-            M = rand_matrix(rng, n)
+        mats = [rand_matrix(rng, rng.randint(1, 4)) for _ in range(40)]
+        for M in mats + [IntMatrix.zero(3, 0), IntMatrix.zero(0, 3), IntMatrix.zero(2, 3)]:
             H, U = hermite_form(M)
             assert M * U == H
             assert is_unimodular(U)
@@ -243,21 +261,41 @@ class TestHermite:
 
 class TestSmith:
     def test_reassembly_and_chain(self):
+        # every shape, zero rows, zero columns and zero matrices included;
+        # d_1 * ... * d_k is the gcd of the k x k minors
         rng = random.Random(89)
-        for _ in range(60):
-            n = rng.randint(1, 4)
-            M = rand_matrix(rng, n)
+        mats = [rand_matrix(rng, rng.randint(1, 4)) for _ in range(60)]
+        shapes = [(m, n) for m in range(5) for n in range(5)] + [(2, 6), (6, 3), (6, 6)]
+        mats += [
+            IntMatrix(m, n, [rng.randint(-lo, lo) for _ in range(m * n)])
+            for m, n in shapes
+            for lo in (0, 1, 4, 30)
+        ]
+        # diagonal but not Smith: Smith forms diag(1, 6) and diag(2, 2, 60)
+        mats += [
+            IntMatrix.from_rows([[2, 0], [0, 3]]),
+            IntMatrix.from_rows([[4, 0, 0], [0, 6, 0], [0, 0, 10]]),
+        ]
+        for M in mats:
+            m, n = M.rows, M.cols
             sf = smith_form(M)
+            assert (sf.U.rows, sf.U.cols, sf.V.rows, sf.V.cols) == (m, m, n, n)
             assert sf.U * M * sf.V == sf.D
             assert abs(determinant(sf.U)) == 1
             assert abs(determinant(sf.V)) == 1
             ds = sf.elementary_divisors
+            assert sf.D == IntMatrix(
+                m, n, [ds[i] if i == j else 0 for i in range(m) for j in range(n)]
+            )
             assert all(d >= 0 for d in ds)
             for a, b in zip(ds, ds[1:]):
                 if a == 0:
                     assert b == 0
                 else:
                     assert b % a == 0
+            assert determinantal_divisors(M) == tuple(
+                math.prod(ds[:k]) for k in range(1, len(ds) + 1)
+            )
 
     def test_divisors_invariant_under_unimodular_change(self):
         rng = random.Random(97)
