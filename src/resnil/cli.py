@@ -144,6 +144,9 @@ def parse_matrix_literal(text) -> IntMatrix:
             data = ast.literal_eval(text)
         except (ValueError, SyntaxError):
             raise ValueError(f"not a matrix literal: {text!r}")
+        except (RecursionError, MemoryError):
+            # the parser gives up on a deep enough expression either way
+            raise ValueError("matrix literal nested too deeply")
     else:
         data = text
     if (
@@ -464,20 +467,15 @@ def main(argv: Optional[list] = None) -> int:
     try:
         no_source = args.matrix is None and args.endo is None and args.example is None
         if args.json and no_source:
-            doc = json.load(sys.stdin)
+            try:
+                doc = json.load(sys.stdin)
+            except RecursionError:
+                raise ValueError("JSON document nested too deeply")
             job = JobSpec.from_dict(doc, as_json=True)
         else:
-            job = JobSpec(
-                matrix=args.matrix,
-                endo=args.endo,
-                inverse=args.inverse,
-                example=args.example,
-                power=args.power,
-                tensor_bound=args.tensor_bound,
-                primes=_parse_primes(args.primes),
-                cap=args.cap,
-                as_json=args.json,
-            )
+            d = {name: getattr(args, name) for name in _JOB_FIELDS}
+            d["primes"] = list(_parse_primes(args.primes))
+            job = JobSpec.from_dict(d, as_json=args.json)
         report, _ = run(job)
         sys.stdout.write(report)
         return 0

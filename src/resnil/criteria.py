@@ -29,6 +29,7 @@ from .errors import (
     NotPrime,
     NotSquare,
     NotUnimodular,
+    SizeCapExceeded,
 )
 from .intpoly import IntPoly, factor_over_Z, from_power_sums, power_sums
 from .freegroup import FreeEndo, abelianization_matrix
@@ -583,8 +584,12 @@ class AuditRecord:
 
 
 def _check_tensor_cap(n: int, K: int, side_cap: int) -> None:
-    for k in range(1, K + 1):
+    # for n >= 2 some n^k with k <= side_cap passes the cap first; the
+    # bound on K itself is what caps rank 1, where n^k stays 1
+    for k in range(1, min(K, side_cap) + 1):
         kronecker_side(n, k, side_cap)
+    if K > side_cap:
+        raise SizeCapExceeded(f"tensor bound {K} exceeds cap {side_cap}")
 
 
 def _check_lie_cap(n: int, K: int, witt_cap: int) -> None:
@@ -910,6 +915,7 @@ def classify_general(
     witnesses: list[Witness] = []
     af = graded.level(1, lie=False)
     vals = ", ".join(f"({f}) -> {val}" for f, val in af.factor_values)
+    factor_witness = make_witness("char_poly_factor_values", f"factor values at 1: {vals}")
     dAe = determinant(A.minus_identity())
 
     if abs(dAe) == 1:
@@ -919,9 +925,7 @@ def classify_general(
                 f"det(A-E)={dAe} is a unit: gamma_2 = gamma_omega is the fiber",
             )
         )
-        witnesses.append(
-            make_witness("char_poly_factor_values", f"factor values at 1: {vals}")
-        )
+        witnesses.append(factor_witness)
         return _verdict(False, LcsLength.TWO, witnesses, req)
 
     proven: set[int] = set()
@@ -966,9 +970,7 @@ def classify_general(
                 )
             )
 
-    witnesses.append(
-        make_witness("char_poly_factor_values", f"factor values at 1: {vals}")
-    )
+    witnesses.append(factor_witness)
     if not af.nilpotent:
         witnesses.append(
             make_witness(

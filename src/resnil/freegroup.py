@@ -228,11 +228,11 @@ class FreeEndo:
     def apply(self, w: FreeWord) -> FreeWord:
         if w.rank != self.rank:
             raise RankMismatch("word rank differs from endomorphism rank")
+        # image(x)^e, by square-and-multiply, once per distinct syllable x^e
+        powers = {(g, e): (self.images[g - 1] ** e).syllables for g, e in set(w.syllables)}
         out: list[tuple[int, int]] = []
-        for g, e in w.syllables:
-            img = self.images[g - 1] if e > 0 else self.images[g - 1].inverse()
-            for _ in range(abs(e)):
-                out.extend(img.syllables)
+        for s in w.syllables:
+            out.extend(powers[s])
         return FreeWord(self.rank, out)
 
     def is_identity(self) -> bool:

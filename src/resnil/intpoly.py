@@ -4,7 +4,8 @@ A polynomial is a dense tuple of coefficients, entry ``i`` holding the
 coefficient of ``x**i``.  Everything in this module is exact integer
 arithmetic; there is no floating point anywhere.  Every product goes
 through one core, ``_conv`` (mod m via ``_mul`` and ``_prod``), every
-quotient mod m through ``_divmod``; ``try_exact_div`` divides over Z.
+quotient mod m through ``_divmod``, every quotient over Z through
+``_zdivmod`` (``try_exact_div`` and the pseudo-remainders of ``poly_gcd``).
 ``_power`` is the package's one square-and-multiply.
 
 A primitive polynomial of degree at most 2 is factored in closed form:
@@ -72,9 +73,7 @@ class IntPoly:
             if ic != c:
                 raise TypeError(f"non-integer coefficient {c!r}")
             cs.append(ic)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "coeffs", tuple(_trim(cs)))
 
     @staticmethod
     def const(c: int) -> "IntPoly":
@@ -242,40 +241,8 @@ def try_exact_div(f: IntPoly, g: IntPoly) -> IntPoly | None:
     """Return q with f = g*q over the integers, or None if no such q exists."""
     if g.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    if f.is_zero():
-        return IntPoly()
-    if f.degree() < g.degree():
-        return None
-    rem = list(f.coeffs)
-    gl = g.leading()
-    gd = g.degree()
-    q = [0] * (f.degree() - gd + 1)
-    for i in range(len(q) - 1, -1, -1):
-        top = rem[i + gd]
-        if top == 0:
-            continue
-        if top % gl:
-            return None
-        c = top // gl
-        q[i] = c
-        for j, gc in enumerate(g.coeffs):
-            rem[i + j] -= c * gc
-    if any(rem):
-        return None
-    return IntPoly(q)
-
-
-def _pseudo_rem(f: IntPoly, g: IntPoly) -> IntPoly:
-    # prem(f, g): lc(g)^(deg f - deg g + 1) * f reduced mod g, all over Z
-    d = f.degree() - g.degree()
-    if d < 0:
-        return f
-    lg = g.leading()
-    rem = f
-    while not rem.is_zero() and rem.degree() >= g.degree():
-        k = rem.degree() - g.degree()
-        rem = rem * lg - g.shift_up(k) * rem.leading()
-    return rem
+    qr = _zdivmod(f.coeffs, g.coeffs)
+    return None if qr is None or qr[1] else IntPoly(qr[0])
 
 
 def poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
@@ -298,7 +265,10 @@ def poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
     if a.degree() < b.degree():
         a, b = b, a
     while not b.is_zero():
-        r = _pseudo_rem(a, b)
+        # the pseudo-remainder: lc(b)^(deg a - deg b + 1) * a divides
+        # exactly by b over Z
+        s = b.leading() ** (a.degree() - b.degree() + 1)
+        r = IntPoly(_zdivmod([s * c for c in a.coeffs], b.coeffs)[1])
         if r.is_zero():
             a, b = b, r
         else:
@@ -419,6 +389,23 @@ def _divmod(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int]]:
             for j, y in enumerate(b):
                 rem[i + j] = (rem[i + j] - c * y) % m
     return _trim(q), _trim(rem[:db])
+
+def _zdivmod(a, b) -> tuple[list[int], list[int]] | None:
+    # long division over Z by a nonzero b: (q, r) with a = b*q + r and
+    # len(r) < len(b), or None at the first quotient coefficient that is
+    # not an integer
+    db = len(b) - 1
+    rem = list(a)
+    q = [0] * (len(rem) - db)
+    for i in range(len(q) - 1, -1, -1):
+        top = rem[i + db]
+        if top:
+            if top % b[-1]:
+                return None
+            q[i] = c = top // b[-1]
+            for j, y in enumerate(b):
+                rem[i + j] -= c * y
+    return q, _trim(rem[:db])
 
 def _monic(a: list[int], p: int) -> list[int]:
     # a nonzero mod the prime p

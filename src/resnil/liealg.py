@@ -17,6 +17,7 @@ import functools
 import math
 
 from .errors import AlphabetMismatch, NotSquare, SizeCapExceeded
+from .primes import prime_divisors
 from .zlinalg import IntMatrix
 
 __all__ = [
@@ -37,27 +38,12 @@ DEFAULT_WITT_CAP = 512
 Word = tuple[int, ...]
 
 
-def _mobius(d: int) -> int:
-    out = 1
-    p = 2
-    while p * p <= d:
-        if d % p == 0:
-            d //= p
-            if d % p == 0:
-                return 0
-            out = -out
-        p += 1
-    if d > 1:
-        out = -out
-    return out
-
-
-def _divisors(k: int) -> list[int]:
-    # the divisors of k >= 1, unordered, by trial division up to sqrt(k)
-    out = []
-    for d in range(1, math.isqrt(k) + 1):
-        if k % d == 0:
-            out.extend({d, k // d})
+def _mobius_terms(k: int) -> list[tuple[int, int]]:
+    # (d, mobius(d)) for the squarefree divisors d of k >= 1, the only
+    # divisors with mobius(d) != 0, from the primes of k
+    out = [(1, 1)]
+    for p in prime_divisors(k):
+        out += [(d * p, -mu) for d, mu in out]
     return out
 
 
@@ -66,7 +52,7 @@ def witt_dimension(n: int, k: int) -> int:
     (1/k) * sum over d | k of mobius(d) * n^(k/d)."""
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
-    total = sum(_mobius(d) * n ** (k // d) for d in _divisors(k))
+    total = sum(mu * n ** (k // d) for d, mu in _mobius_terms(k))
     assert total % k == 0
     return total // k
 
@@ -82,14 +68,13 @@ def lyndon_count(content) -> int:
         raise ValueError("need a nonempty content of positive counts")
     k = sum(content)
     total = 0
-    for d in _divisors(math.gcd(*content)):
-        if mu := _mobius(d):
-            # the multinomial (k/d)! / prod (c_r/d)! as a product of binomials
-            words, seen = 1, 0
-            for c in content:
-                seen += c // d
-                words *= math.comb(seen, c // d)
-            total += mu * words
+    for d, mu in _mobius_terms(math.gcd(*content)):
+        # the multinomial (k/d)! / prod (c_r/d)! as a product of binomials
+        words, seen = 1, 0
+        for c in content:
+            seen += c // d
+            words *= math.comb(seen, c // d)
+        total += mu * words
     if total % k:
         raise ArithmeticError(f"Witt sum {total} is not divisible by {k}")
     return total // k
@@ -111,7 +96,7 @@ def lie_power_sums(traces, k: int, count: int) -> list[int]:
     tr(A^j | L_k) = (1/k) * sum over d | k of mobius(d) * tr(A^(jd))^(k/d).
     At A = E it is witt_dimension.
     """
-    terms = [(d, mu) for d in _divisors(k) if (mu := _mobius(d))]
+    terms = _mobius_terms(k)
     out = []
     for j in range(1, count + 1):
         total = sum(mu * traces[j * d - 1] ** (k // d) for d, mu in terms)

@@ -99,11 +99,7 @@ class IntMatrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols,
-            self.rows,
-            [self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)],
-        )
+        return IntMatrix.from_cols(self.cols, [self.row(i) for i in range(self.rows)])
 
     def is_square(self) -> bool:
         return self.rows == self.cols

@@ -58,22 +58,43 @@ def _signed_divisors(m: int) -> list[int]:
     return [s * d for d in _divisors(m) for s in (1, -1)]
 
 
-def _frac_divide(f, g):
-    """Quotient f / g over Q (low-to-high Fraction lists), or None if
-    the remainder is nonzero."""
+def frac_divmod(f, g):
+    """Quotient and remainder of f by a nonzero g over Q, as low-to-high
+    Fraction lists; the remainder keeps len(g) - 1 entries."""
     f = [Fraction(c) for c in f]
     g = [Fraction(c) for c in g]
-    if len(f) < len(g):
-        return None
-    out = [Fraction(0)] * (len(f) - len(g) + 1)
-    for i in range(len(f) - len(g), -1, -1):
+    out = [Fraction(0)] * max(len(f) - len(g) + 1, 0)
+    for i in range(len(out) - 1, -1, -1):
         q = f[i + len(g) - 1] / g[-1]
         out[i] = q
         for j, c in enumerate(g):
             f[i + j] -= q * c
-    if any(f):
+    return out, (f + [Fraction(0)] * len(g))[: len(g) - 1]
+
+
+def _frac_divide(f, g):
+    """Quotient f / g over Q (low-to-high Fraction lists), or None if
+    the remainder is nonzero."""
+    if len(f) < len(g):
         return None
-    return out
+    q, r = frac_divmod(f, g)
+    return None if any(r) else q
+
+
+def frac_gcd(f, g):
+    """A gcd of the trimmed coefficient lists f and g over Q by Euclid's
+    algorithm, as a primitive integer coefficient tuple with positive
+    leading coefficient; () for gcd(0, 0)."""
+    f, g = [Fraction(c) for c in f], [Fraction(c) for c in g]
+    while g:
+        r = frac_divmod(f, g)[1]
+        while r and r[-1] == 0:
+            r.pop()
+        f, g = g, r
+    if not f:
+        return ()
+    scale = math.lcm(*(c.denominator for c in f))
+    return _primitive([int(c * scale) for c in f])
 
 
 def _content_sign(coeffs):
@@ -183,7 +204,20 @@ def library_factor_canonical(p: IntPoly):
 
 
 # ---------------------------------------------------------------------------
-# Lyndon words by rotation minimality
+# Lyndon words by rotation minimality, Moebius by trial division
+
+
+def mobius_by_trial_division(d: int) -> int:
+    out, p = 1, 2
+    while p * p <= d:
+        if d % p == 0:
+            d //= p
+            if d % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return -out if d > 1 else out
+
 
 
 def lyndon_words_brute(n: int, k: int) -> list[tuple[int, ...]]:

@@ -243,6 +243,60 @@ class TestExitCodes:
         assert code == 0
         assert "verified up to bound 7" in capsys.readouterr().out
 
+    def test_rank_one_tensor_bound_capped(self, monkeypatch, capsys):
+        # n^k stays 1 at rank 1, so the side cap bounds K itself; at
+        # rank 2 the side 2^k trips first, with the message it had
+        def check():
+            assert main(["--matrix", "[[-1]]", "--tensor-bound", "4097"]) == 3
+            assert main(["--matrix", "[[-1]]", "--tensor-bound", "60", "--cap", "50"]) == 3
+            monkeypatch.setattr("sys.stdin", io.StringIO('{"matrix": "[[1]]", "tensor_bound": 1000000}'))
+            assert main(["--json"]) == 3
+            assert main(["--matrix", "[[2,1],[1,1]]", "--tensor-bound", "5000"]) == 3
+            assert main(["--matrix", "[[-1]]", "--tensor-bound", "50", "--cap", "50"]) == 0
+
+        with_alarm(2, check)
+        captured = capsys.readouterr()
+        assert "verified up to bound 50" in captured.out
+        assert captured.err == (
+            "error: tensor bound 4097 exceeds cap 4096\n"
+            "error: tensor bound 60 exceeds cap 50\n"
+            "error: tensor bound 1000000 exceeds cap 4096\n"
+            "error: Kronecker power side 2^13 exceeds cap 4096\n"
+        )
+
+    def test_huge_endo_exponents_end(self, capsys):
+        # each image is powered, not repeated 10^8 times
+        argv = ["--endo", "a->a b^100000000; b->b", "--inverse", "a->a b^-100000000; b->b"]
+        assert with_alarm(2, lambda: main(argv)) == 0
+        assert "automorphism: proven by supplied inverse" in capsys.readouterr().out
+
+    # CPython's parsers give up on these with RecursionError or
+    # MemoryError; which one, and at what depth, depends on the version
+    DEEP_MINUS = "[[" + "-" * 3000 + "1]]"
+
+    @staticmethod
+    def one_error_line(capsys):
+        err = capsys.readouterr().err
+        return err.startswith("error: ") and err.count("\n") == 1
+
+    def test_deep_json_document(self, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", io.StringIO("[" * 10**5 + "]" * 10**5))
+        assert main(["--json"]) == 2
+        assert capsys.readouterr().err == "error: JSON document nested too deeply\n"
+
+    def test_deep_matrix_literal(self, capsys):
+        assert main(["--matrix", self.DEEP_MINUS]) == 2
+        assert self.one_error_line(capsys)
+
+    def test_deep_matrix_literal_in_json_job(self, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"matrix": self.DEEP_MINUS})))
+        assert main(["--json"]) == 2
+        assert self.one_error_line(capsys)
+
+    def test_matrix_literal_past_the_parser_stack(self, capsys):
+        assert main(["--matrix", "[[" + "-" * 10**5 + "1]]"]) == 2
+        assert capsys.readouterr().err == "error: matrix literal nested too deeply\n"
+
     def test_unproven_prime_exits_3(self, capsys):
         # tr - 2 = 2^89 - 1 is prime, but above the range where
         # Miller-Rabin to the bases 2..41 is a proof

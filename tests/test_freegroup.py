@@ -25,6 +25,8 @@ from resnil.freegroup import (
 )
 from resnil.zlinalg import IntMatrix
 
+from oracles import with_alarm
+
 
 def square_and_multiply_count(e):
     # a product per set bit, the first against the identity, and a
@@ -150,6 +152,13 @@ class TestEndomorphisms:
         f = FreeEndo.from_strings(["b", "a b^3"])
         w = f.apply(parse_word("ab", 2))
         assert w == parse_word("b a b^3", 2)
+
+    def test_apply_powers_each_image(self):
+        # a syllable x^e maps to image(x)^e by square-and-multiply, so
+        # exponents in the billions cost a few products, not e copies
+        f = FreeEndo.from_strings(["a b^100000000", "A"])
+        w = with_alarm(2, lambda: f.apply(parse_word("b^-1000000000 a^3 b", 2)))
+        assert w == FreeWord(2, [(1, 10**9)] + [(1, 1), (2, 10**8)] * 3 + [(1, -1)])
 
     def test_homomorphism_property(self):
         rng = random.Random(139)

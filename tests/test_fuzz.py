@@ -2,10 +2,10 @@
 never in a traceback (exit 1) and never in a hang.
 
 The runs are derandomized, so a failure reproduces, and each case runs
-under an alarm.  Integers stay at most 50, and so do powers: a power in
-the thousands still runs for minutes in primes.prime_divisors, and a
-tensor bound in the tens of thousands on a rank-1 action runs for
-seconds, because nothing caps the work there (both in CHANGES.md).
+under an alarm.  Matrix entries stay at most 50, and so do powers: a
+power in the thousands still runs for minutes in primes.prime_divisors
+(CHANGES.md).  Endomorphism exponents reach 10^9, rank-1 tensor bounds
+10^6, and nesting depths 10^5, where the work is bounded.
 """
 
 import contextlib
@@ -131,10 +131,79 @@ def test_actions_and_powers_end_in_a_known_exit_code(source, opts, as_json):
     if as_json:
         code = run_cli(["--json"], json.dumps(job))
     else:
-        argv = []
-        for name, value in job.items():
-            if name == "primes":
-                value = ",".join(map(str, value))
-            argv += ["--" + name.replace("_", "-"), str(value)]
-        code = run_cli(argv)
+        code = run_cli(argv_of(job))
+    assert code in (0, 2, 3)
+
+
+def argv_of(job):
+    argv = []
+    for name, value in job.items():
+        if name == "primes":
+            value = ",".join(map(str, value))
+        argv += ["--" + name.replace("_", "-"), str(value)]
+    return argv
+
+
+# ---------------------------------------------------------------------------
+# inputs whose size is bounded by the program, not by the generator
+
+
+@st.composite
+def transvections(draw):
+    # x_i -> x_j^e x_i or x_i x_j^e, the other generators fixed, with the
+    # inverse that negates e (or, sometimes, the endomorphism itself)
+    n = draw(st.integers(2, 3))
+    i, j = draw(st.permutations(range(n)))[:2]
+    e = draw(st.integers(-(10**9), 10**9).filter(bool))
+    left = draw(st.booleans())
+    names = "abc"[:n]
+
+    def text(sign):
+        images = list(names)
+        t = f"{names[j]}^{sign * e}"
+        images[i] = f"{t} {names[i]}" if left else f"{names[i]} {t}"
+        return "; ".join(f"{g}->{w}" for g, w in zip(names, images))
+
+    wrong = draw(st.booleans()) and draw(st.booleans())
+    return {"endo": text(1), "inverse": text(1 if wrong else -1),
+            "power": draw(st.integers(1, 50))}
+
+
+@settings(FUZZ, max_examples=40)
+@given(job=transvections(), as_json=st.booleans())
+def test_huge_endomorphism_exponents_end_in_a_known_exit_code(job, as_json):
+    if as_json:
+        assert run_cli(["--json"], json.dumps(job)) in (0, 2)
+    else:
+        assert run_cli(argv_of(job)) in (0, 2)
+
+
+@settings(FUZZ, max_examples=25)
+@given(entry=st.sampled_from([1, -1]), bound=st.integers(1, 10**6))
+def test_rank_one_tensor_bounds_end(entry, bound):
+    job = {"matrix": f"[[{entry}]]", "tensor_bound": bound}
+    assert run_cli(argv_of(job)) == (0 if bound <= 4096 else 3)
+
+
+deep_texts = st.builds(
+    lambda depth, kind: {
+        "json": "[" * depth + "]" * depth,
+        "object": '{"a":' * depth + "1" + "}" * depth,
+        "minus": "[[" + "-" * depth + "1]]",
+        "brackets": "[" * depth + "1" + "]" * depth,
+    }[kind],
+    st.integers(1, 10**5),
+    st.sampled_from(["json", "object", "minus", "brackets"]),
+)
+
+
+@settings(FUZZ, max_examples=40)
+@given(text=deep_texts, via=st.sampled_from(["stdin", "matrix", "json_matrix"]))
+def test_deep_texts_end_in_a_known_exit_code(text, via):
+    if via == "stdin":
+        code = run_cli(["--json"], text)
+    elif via == "matrix":
+        code = run_cli(["--matrix", text])
+    else:
+        code = run_cli(["--json"], json.dumps({"matrix": text}))
     assert code in (0, 2, 3)

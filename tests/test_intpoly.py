@@ -1,6 +1,7 @@
 """Integer polynomial arithmetic and factorization tests."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -18,7 +19,13 @@ from resnil.intpoly import (
     try_exact_div,
 )
 
-from oracles import brute_force_factor, library_factor_canonical, with_alarm
+from oracles import (
+    brute_force_factor,
+    frac_divmod,
+    frac_gcd,
+    library_factor_canonical,
+    with_alarm,
+)
 
 
 def rand_poly(rng, max_deg=4, lo=-30, hi=30, nonzero=False):
@@ -151,6 +158,61 @@ class TestDivision:
                 assert d1.leading() > 0
                 assert try_exact_div(p, d1) is not None
                 assert try_exact_div(q, d1) is not None
+
+
+def rand_division(rng):
+    # f = g*q + r for a nonzero g, often non-monic: q = 0 makes g of
+    # higher degree than f, r = 0 makes g a divisor, both a zero f
+    g = rand_poly(rng, max_deg=4, lo=-6, hi=6, nonzero=True)
+    q = rand_poly(rng, max_deg=4) if rng.random() < 0.8 else IntPoly()
+    r = rand_poly(rng, max_deg=max(g.degree() - 1, 0)) if rng.random() < 0.5 else IntPoly()
+    return g * q + r, g
+
+
+class TestLongDivisionOverZ:
+    # _zdivmod is the one long division over Z, behind try_exact_div and
+    # the pseudo-remainders of poly_gcd; each is checked against the
+    # same computation over Q
+
+    def test_zdivmod_is_division_over_Q_when_integral(self):
+        rng = random.Random(37)
+        for _ in range(500):
+            f, g = rand_division(rng)
+            q, r = frac_divmod(f.coeffs, g.coeffs)
+            got = intpoly._zdivmod(f.coeffs, g.coeffs)
+            if all(c.denominator == 1 for c in q):
+                assert got == (q, list(IntPoly(r).coeffs))
+            else:
+                assert got is None
+
+    def test_try_exact_div_is_exact_division_over_Q(self):
+        rng = random.Random(41)
+        for _ in range(500):
+            f, g = rand_division(rng)
+            q, r = frac_divmod(f.coeffs, g.coeffs)
+            exact = not any(r) and all(c.denominator == 1 for c in q)
+            assert try_exact_div(f, g) == (IntPoly(q) if exact else None)
+
+    def test_gcd_is_euclid_over_Q_times_content_gcd(self):
+        rng = random.Random(43)
+        for _ in range(300):
+            h = rand_poly(rng, max_deg=2, lo=-4, hi=4, nonzero=True)
+            f = h * rand_poly(rng, max_deg=3, lo=-9, hi=9)
+            g = h * rand_poly(rng, max_deg=3, lo=-9, hi=9)
+            expect = IntPoly(frac_gcd(f.coeffs, g.coeffs)) * math.gcd(f.content(), g.content())
+            assert poly_gcd(f, g) == expect
+
+    def test_squarefree_decomposition_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        rng = random.Random(47)
+        for _ in range(150):
+            f = rand_poly(rng, max_deg=2, lo=-5, hi=5, nonzero=True)
+            for _ in range(rng.randint(1, 3)):
+                f = f * rand_poly(rng, max_deg=2, lo=-5, hi=5, nonzero=True) ** rng.randint(1, 3)
+            _, pairs = sympy.Poly(f.coeffs[::-1], x).sqf_list()
+            expect = [(IntPoly(int(c) for c in P.all_coeffs()[::-1]), m) for P, m in pairs]
+            assert sorted(squarefree_decomposition(f), key=str) == sorted(expect, key=str)
 
 
 class TestSquarefree:

@@ -8,6 +8,7 @@ import pytest
 
 from resnil.errors import AlphabetMismatch, SizeCapExceeded
 from resnil.intpoly import try_exact_div
+from resnil import liealg
 from resnil.liealg import (
     LieElement,
     bracket_normal_form,
@@ -19,7 +20,7 @@ from resnil.liealg import (
 from resnil.zlinalg import IntMatrix, char_poly, determinant, kronecker_power
 from resnil.intpoly import factor_over_Z
 
-from oracles import lyndon_words_brute, random_unimodular
+from oracles import lyndon_words_brute, mobius_by_trial_division, random_unimodular
 
 
 def rand_element(rng, n, k, span=3):
@@ -41,6 +42,13 @@ class TestWittDimension:
         assert witt_dimension(3, 2) == 3
         assert witt_dimension(1, 1) == 1
         assert witt_dimension(1, 4) == 0
+
+    def test_mobius_terms_by_trial_division(self):
+        # every divisor d of k with mobius(d) != 0, for k <= 10^4
+        mu = [0] + [mobius_by_trial_division(d) for d in range(1, 10**4 + 1)]
+        for k in range(1, 10**4 + 1):
+            divisors = {e for d in range(1, math.isqrt(k) + 1) if k % d == 0 for e in (d, k // d)}
+            assert sorted(liealg._mobius_terms(k)) == sorted((d, mu[d]) for d in divisors if mu[d])
 
     def test_against_brute_force(self):
         for n in (1, 2, 3):
