@@ -27,6 +27,7 @@ from .freegroup import (
     abelianization_matrix,
     parse_word,
 )
+from .intpoly import _power
 from .zlinalg import (
     DEFAULT_SIDE_CAP,
     IntMatrix,
@@ -351,63 +352,79 @@ def _report(
 # ---------------------------------------------------------------------------
 # the runner
 
+# the largest entry a report can print: CPython converts ints of at most
+# 4300 decimal digits to text
+_ENTRY_DIGITS = 4300
+_ENTRY_LIMIT = 10**_ENTRY_DIGITS
+
+
+def _capped_power(A: IntMatrix, e: int) -> IntMatrix:
+    """A^e by the one square-and-multiply; SizeCapExceeded as soon as a
+    partial power A^i has an entry of more than _ENTRY_DIGITS digits."""
+
+    def mul(x, y):
+        (X, i), (Y, j) = x, y
+        Z = X * Y
+        if max(map(abs, Z.entries)) >= _ENTRY_LIMIT:
+            raise SizeCapExceeded(
+                f"entry of A^{i + j} exceeds cap {_ENTRY_DIGITS} decimal digits"
+            )
+        return Z, i + j
+
+    # A.power(0) checks that A is square and is the unit
+    return _power((A, 1), e, mul, (A.power(0), 0))[0]
+
 
 def run(job: JobSpec) -> tuple[str, Verdict]:
     """Execute one job; returns (report text, verdict).  Raises
     ResnilError or ValueError on bad input, SizeCapExceeded when a
     requested computation passes the configured caps."""
-    side_cap = job.cap if job.cap is not None else DEFAULT_SIDE_CAP
-    witt_cap = job.cap if job.cap is not None else DEFAULT_WITT_CAP
     ex = _find_builtin(job.example) if job.example is not None else None
-    endo_text = job.endo if ex is None else ex.endo
-    matrix_text = job.matrix if ex is None else ex.matrix
-    family = ex is not None and bool(ex.family)
     extra: list[str] = []
 
-    if family:
-        mats = [parse_matrix_literal(t).power(job.power) for t in ex.family]
-        source = f"family of {len(mats)} action matrices"
-    elif endo_text is not None:
-        endo = parse_endo_text(endo_text)
-        status = AutoStatus.ABELIANIZED_UNIMODULAR_ONLY
-        if job.inverse is not None:
-            inv = parse_endo_text(job.inverse)
-            status = check_automorphism(endo, inv)
-            if status is AutoStatus.PROVEN_NOT_AUTO:
-                raise ValueError(
-                    "claimed inverse does not invert the endomorphism"
-                )
-        # abelianization is functorial: the power of the matrix is the
-        # matrix of the power, without composing words
-        mats = [abelianization_matrix(endo).power(job.power)]
-        source = f"endomorphism {endo}"
-        if status is AutoStatus.PROVEN_AUTO:
-            extra.append("automorphism: proven by supplied inverse")
-        else:
-            extra.append(
-                "automorphism: not verified (abelianized action checked "
-                "for unimodularity only)"
-            )
-    else:
-        mats = [parse_matrix_literal(matrix_text).power(job.power)]
-        source = f"matrix {matrix_text}"
-    if family:
-        source = f"example {ex.name} ({source})"
-    elif ex is not None:
-        source = f"example {ex.name}: {source}"
-    if job.power > 1:
-        source += f", power {job.power}"
-
-    if family:
+    if ex is not None and ex.family:
+        mats = [_capped_power(parse_matrix_literal(t), job.power) for t in ex.family]
+        source = f"example {ex.name} (family of {len(mats)} action matrices)"
         verdict = _classify_family(mats, job.primes)
     else:
+        endo_text = job.endo if ex is None else ex.endo
+        if endo_text is not None:
+            endo = parse_endo_text(endo_text)
+            status = AutoStatus.ABELIANIZED_UNIMODULAR_ONLY
+            if job.inverse is not None:
+                inv = parse_endo_text(job.inverse)
+                status = check_automorphism(endo, inv)
+                if status is AutoStatus.PROVEN_NOT_AUTO:
+                    raise ValueError(
+                        "claimed inverse does not invert the endomorphism"
+                    )
+            # abelianization is functorial: the power of the matrix, taken
+            # below, is the matrix of the power, without composing words
+            A = abelianization_matrix(endo)
+            source = f"endomorphism {endo}"
+            if status is AutoStatus.PROVEN_AUTO:
+                extra.append("automorphism: proven by supplied inverse")
+            else:
+                extra.append(
+                    "automorphism: not verified (abelianized action checked "
+                    "for unimodularity only)"
+                )
+        else:
+            matrix_text = job.matrix if ex is None else ex.matrix
+            A = parse_matrix_literal(matrix_text)
+            source = f"matrix {matrix_text}"
+        if ex is not None:
+            source = f"example {ex.name}: {source}"
+        mats = [_capped_power(A, job.power)]
         verdict = classify_general(
             mats[0],
             tensor_bound=job.tensor_bound,
             primes=job.primes,
-            side_cap=side_cap,
-            witt_cap=witt_cap,
+            side_cap=DEFAULT_SIDE_CAP if job.cap is None else job.cap,
+            witt_cap=DEFAULT_WITT_CAP if job.cap is None else job.cap,
         )
+    if job.power > 1:
+        source += f", power {job.power}"
 
     if ex is not None and job.power == 1:
         ok = _expectation_matches(ex, verdict)

@@ -6,12 +6,12 @@ whose abelianized matrix A drives every test here.  Each procedure is
 exact integer arithmetic; each verdict carries witnesses naming the
 criterion used, a citation anchor, and the computed evidence.
 
-Certainty levels keep bounded verification honest: a graded audit that
-checked components up to degree K says so in its witness's evidence
-("verified up to bound K"), and a verdict's certainties are only proven
-or unknown.  "Not residually nilpotent" is only ever asserted from
-exact sources (the rank-2 classification, or a unimodular A - E);
-failure of a sufficient condition never flips that bit.
+Every certainty is proven or unknown.  A graded audit that checked
+components up to degree K says so in its witness's evidence ("verified
+up to bound K"), never in a certainty.  "Not residually nilpotent" is
+only ever asserted from exact sources (the rank-2 classification, or a
+unimodular A - E); failure of a sufficient condition never flips that
+bit.
 """
 
 from __future__ import annotations
@@ -95,65 +95,51 @@ def _require_square(A: IntMatrix) -> None:
         raise NotSquare(f"matrix is {A.rows}x{A.cols}")
 
 
-def _require_unimodular(A: IntMatrix) -> None:
+def _require_unimodular(A: IntMatrix) -> int:
+    """det A, which must be +-1."""
     _require_square(A)
-    if not is_unimodular(A):
-        raise NotUnimodular(f"determinant {determinant(A)} is not +-1")
+    det = determinant(A)
+    if abs(det) != 1:
+        raise NotUnimodular(f"determinant {det} is not +-1")
+    return det
 
 
 # ---------------------------------------------------------------------------
 # certainty, witnesses, verdicts
 
 PROVEN = "proven"
-UP_TO_BOUND = "up_to_bound"
 UNKNOWN = "unknown"
 
 
 @dataclasses.dataclass(frozen=True)
 class Certainty:
-    """Proof status of a single claim.
-
-    kind "proven" and "unknown" carry no bound; "up_to_bound" records
-    the bound that was actually checked.
-    """
+    """Proof status of a single claim: proven or unknown."""
 
     kind: str
-    bound: Optional[int] = None
 
     def __post_init__(self):
-        if self.kind not in (PROVEN, UP_TO_BOUND, UNKNOWN):
+        if self.kind not in (PROVEN, UNKNOWN):
             raise ValueError(f"bad certainty kind {self.kind!r}")
-        if self.kind == UP_TO_BOUND:
-            if not isinstance(self.bound, int) or self.bound < 1:
-                raise ValueError("up_to_bound needs a positive bound")
-        elif self.bound is not None:
-            raise ValueError(f"{self.kind} certainty carries no bound")
 
     @staticmethod
     def proven() -> "Certainty":
         return Certainty(PROVEN)
 
     @staticmethod
-    def up_to_bound(k: int) -> "Certainty":
-        return Certainty(UP_TO_BOUND, k)
-
-    @staticmethod
     def unknown() -> "Certainty":
         return Certainty(UNKNOWN)
 
-    def rank(self) -> int:
-        return {UNKNOWN: 0, UP_TO_BOUND: 1, PROVEN: 2}[self.kind]
-
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "bound": self.bound}
+        # the JSON shape keeps its "bound" key, always null
+        return {"kind": self.kind, "bound": None}
 
     @staticmethod
     def from_dict(d: dict) -> "Certainty":
-        return Certainty(d["kind"], d.get("bound"))
+        if d.get("bound") is not None:
+            raise ValueError(f"a certainty carries no bound, got {d['bound']!r}")
+        return Certainty(d["kind"])
 
     def __str__(self) -> str:
-        if self.kind == UP_TO_BOUND:
-            return f"verified up to bound {self.bound}"
         return self.kind
 
 
@@ -655,17 +641,18 @@ def lie_component_audit(
     return _audit_levels(_GradedFactors(A), K, p, lie=True)
 
 
-def augmentation_power_check(
-    Bs: Iterable[IntMatrix], modulus: int, bound: int = 64
-) -> Optional[int]:
-    """Smallest N <= bound such that every length-N product of the
-    matrices (B_i - E) vanishes, exactly when modulus is 0, entrywise
-    mod m when modulus m >= 2.
+def augmentation_power_check(Bs: Iterable[IntMatrix], modulus: int) -> Optional[int]:
+    """Smallest N such that every length-N product of the matrices
+    (B_i - E) vanishes, exactly when modulus is 0, entrywise mod m when
+    modulus m >= 2; None when no N exists.
 
     Runs a breadth-first closure on the spanned sublattice: V_0 = Z^n,
     V_{l+1} = sum over i of (B_i - E)V_l (plus m Z^n when reducing mod
     m).  The chain is decreasing, so stabilization above the target
-    means no N exists and the search stops early.
+    means no N exists and the search stops early.  Mod m the chain runs
+    from Z^n to m Z^n, each strict step at least doubling the index, so
+    n*log2(m) + 1 steps decide; over Z the rational span of V_l is zero
+    or stable by step n, so n + 1 steps decide.
     """
     mats = list(Bs)
     if not mats:
@@ -676,8 +663,6 @@ def augmentation_power_check(
             raise DimensionMismatch("matrices must be square of equal size")
     if modulus < 0 or modulus == 1:
         raise BadModulus(f"modulus must be 0 or >= 2, got {modulus}")
-    if bound < 1:
-        raise ValueError("bound must be at least 1")
     diffs = [B.minus_identity() for B in mats]
     extra = []
     if modulus:
@@ -685,7 +670,8 @@ def augmentation_power_check(
         extra = [mE.col(j) for j in range(n)]
         target = SubLattice.from_generators(mE)
     V = SubLattice.full(n)
-    for N in range(1, bound + 1):
+    steps = n * modulus.bit_length() + 1 if modulus else n + 1
+    for N in range(1, steps + 1):
         gens = [D.apply(V.basis.col(j)) for D in diffs for j in range(V.rank)]
         Vnext = SubLattice.from_generators(IntMatrix.from_cols(n, gens + extra))
         if modulus:
@@ -749,24 +735,23 @@ def classify_f2(A: IntMatrix, primes: Iterable[int] = ()) -> Verdict:
     """Exact trichotomy for a rank-2 free fiber, decided by det and
     trace alone.
 
-    det=1, tr in {1,3} or det=-1, tr=+-1: series length two, not
-    residually nilpotent.  det=1, tr outside {1,3}: length omega,
-    residually p-finite for every prime dividing tr-2 (all primes at
-    tr=2).  det=-1, tr even: length omega, residually 2-finite.
-    det=-1, tr odd, tr != +-1: length omega^2.  All certainties are
-    proven; primes beyond the derived set stay unknown because the
-    derived set is a lower bound.
+    det(A-E) = +-1 (det=1, tr in {1,3} or det=-1, tr=+-1): series
+    length two, not residually nilpotent.  det=1, tr outside {1,3}:
+    length omega, residually p-finite for every prime dividing tr-2
+    (all primes at tr=2).  det=-1, tr even: length omega, residually
+    2-finite.  det=-1, tr odd, tr != +-1: length omega^2.  All
+    certainties are proven; primes beyond the derived set stay unknown
+    because the derived set is a lower bound.
     """
     _require_square(A)
     if A.rows != 2:
         raise Not2x2(f"need a 2x2 matrix, got {A.rows}x{A.cols}")
-    _require_unimodular(A)
+    det = _require_unimodular(A)
     req = _validated_primes(primes)
-    det = determinant(A)
     tr = A.trace()
     dAe = determinant(A.minus_identity())
 
-    if (det == 1 and tr in (1, 3)) or (det == -1 and tr in (1, -1)):
+    if abs(dAe) == 1:
         witnesses = [
             make_witness(
                 "rank2_classification",
@@ -894,8 +879,8 @@ def classify_general(
     assemble proven sources only: a unimodular A - E (length two), the
     integer eigenvalue criterion, and mod-p unipotency certificates;
     the factor-value criterion on the abelianized fiber and the graded
-    audits are reported as evidence with bounded certainty, never
-    flipping the verdict.
+    audits are reported as witness evidence ("verified up to bound K"),
+    never flipping the verdict.
     """
     A = abelianization_matrix(obj) if isinstance(obj, FreeEndo) else obj
     _require_unimodular(A)

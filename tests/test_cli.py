@@ -270,6 +270,45 @@ class TestExitCodes:
         assert with_alarm(2, lambda: main(argv)) == 0
         assert "automorphism: proven by supplied inverse" in capsys.readouterr().out
 
+    def test_power_past_the_printable_size_exits_3(self, capsys):
+        # a report prints integers of at most 4300 digits, so a power
+        # stops as soon as one of its partial powers has a larger entry
+        hyperbolic = [
+            ["--matrix", "[[2,1],[1,1]]", "--power", "20000"],
+            ["--matrix", "[[2,1],[1,1]]", "--power", str(10**9)],
+            ["--example", "mikhailov", "--power", str(10**9)],
+            ["--endo", "a->b; b->a b^3", "--power", str(10**9), "--json"],
+        ]
+        unipotent = ["--matrix", "[[1,1,0],[0,1,1],[0,0,1]]", "--power", str(10**2200)]
+
+        def check():
+            assert [main(argv) for argv in hyperbolic] == [3] * 4
+            assert main(unipotent) == 3
+
+        with_alarm(5, check)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        *lines, last = captured.err.splitlines()
+        assert lines == ["error: entry of A^16384 exceeds cap 4300 decimal digits"] * 4
+        # m(m-1)/2 passes 10^4300 at a partial power m of about 10^2150
+        assert last.startswith("error: entry of A^")
+        assert last.endswith(" exceeds cap 4300 decimal digits")
+
+    def test_power_with_printable_entries_ends(self, capsys):
+        # linear growth: the largest entry of A^m is m (or 2m)
+        e = 10**4300 - 1
+
+        def check():
+            assert main(["--example", "klein_p2", "--power", str(10**9)]) == 0
+            assert main(["--matrix", "[[1,1],[0,1]]", "--power", str(e)]) == 0
+            assert main(["--matrix", "[[1,2],[0,1]]", "--power", str(e)]) == 3
+
+        with_alarm(5, check)
+        captured = capsys.readouterr()
+        assert f"    [1, {e}]\n" in captured.out
+        assert captured.err.startswith("error: entry of A^")
+        assert captured.err.endswith(" exceeds cap 4300 decimal digits\n")
+
     # CPython's parsers give up on these with RecursionError or
     # MemoryError; which one, and at what depth, depends on the version
     DEEP_MINUS = "[[" + "-" * 3000 + "1]]"

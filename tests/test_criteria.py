@@ -92,18 +92,11 @@ class TestPrimality:
 class TestCertainty:
     def test_constructors(self):
         assert Certainty.proven().kind == "proven"
-        assert Certainty.up_to_bound(4).bound == 4
-        assert Certainty.unknown().bound is None
-
-    def test_rank_ordering(self):
-        assert (
-            Certainty.proven().rank()
-            > Certainty.up_to_bound(3).rank()
-            > Certainty.unknown().rank()
-        )
+        assert Certainty.unknown().kind == "unknown"
 
     def test_dict_round_trip(self):
-        for c in (Certainty.proven(), Certainty.up_to_bound(7), Certainty.unknown()):
+        for c in (Certainty.proven(), Certainty.unknown()):
+            assert c.to_dict() == {"kind": c.kind, "bound": None}
             assert Certainty.from_dict(c.to_dict()) == c
 
     def test_validation(self):
@@ -112,7 +105,16 @@ class TestCertainty:
         with pytest.raises(ValueError):
             Certainty("up_to_bound")
         with pytest.raises(ValueError):
-            Certainty("proven", bound=3)
+            Certainty.from_dict({"kind": "proven", "bound": 3})
+        with pytest.raises(ValueError):
+            Certainty.from_dict({"kind": "up_to_bound", "bound": 3})
+
+    def test_verdict_document_with_a_bound_is_refused(self):
+        doc = classify_f2(M([[2, 1], [1, 1]]), primes=(5,)).to_dict()
+        assert Verdict.from_dict(doc).to_dict() == doc
+        doc["residually_p_finite"][0]["certainty"] = {"kind": "up_to_bound", "bound": 3}
+        with pytest.raises(ValueError):
+            Verdict.from_dict(doc)
 
 
 class TestWitness:
@@ -416,6 +418,23 @@ class TestAugmentationPower:
         # neither matrix alone is trivial mod 2, the pair still is
         pair = [M([[1, 2], [0, 1]]), M([[1, 0], [2, 1]])]
         assert augmentation_power_check(pair, 2) == 1
+
+    def test_no_search_bound(self):
+        # (3 - 1)^l = 2^l: zero mod 2^70 first at l = 70, never mod 3 * 2^70
+        assert augmentation_power_check([M([[3]])], 2**70) == 70
+        assert augmentation_power_check([M([[3]])], 3 * 2**70) is None
+
+    def test_exact_search_stops_after_n_plus_one_steps(self, monkeypatch):
+        passes = []
+        from_generators = criteria.SubLattice.from_generators
+
+        def counted(gens):
+            passes.append(gens)
+            return from_generators(gens)
+
+        monkeypatch.setattr(criteria.SubLattice, "from_generators", counted)
+        assert augmentation_power_check([M([[3]])], 0) is None
+        assert len(passes) <= 2
 
     def test_bad_modulus(self):
         with pytest.raises(BadModulus):

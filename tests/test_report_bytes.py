@@ -73,6 +73,18 @@ CLI_JOBS = {
     # classify_family: certificate at 2
     "klein": ["--example", "klein_p2", "--primes", "2,3"],
     "klein-json": ["--example", "klein_p2", "--primes", "2,3", "--json"],
+    # the labels run builds: powers of each input kind, a supplied
+    # inverse, and the builtins given by an endomorphism or a matrix
+    "klein-power2": ["--example", "klein_p2", "--power", "2"],
+    "mikhailov-power3": ["--example", "mikhailov", "--power", "3", "--tensor-bound", "2"],
+    "mikhailov-inverse": ["--endo", "a->b; b->a b^3", "--inverse", "a->b A^3; b->a",
+                          "--tensor-bound", "2", "--primes", "2,3"],
+    "mikhailov-inverse-json": ["--endo", "a->b; b->a b^3", "--inverse",
+                               "a->b A^3; b->a", "--tensor-bound", "2", "--primes",
+                               "2,3", "--json"],
+    "mixed-signs": ["--example", "mixed_signs", "--tensor-bound", "2"],
+    "identity": ["--example", "identity", "--tensor-bound", "2", "--primes", "2,3"],
+    "cat-map-power2": _m("[[2,1],[1,1]]", "2,3", "--power", "2"),
 }
 
 
