@@ -116,8 +116,6 @@ def unimodular(draw):
     return {"matrix": json.dumps(rows).replace(" ", "")}
 
 
-# between 50 and 10^5 a power can reach prime_divisors with entries in
-# the hundreds of digits, which it may not split in bounded time
 POWERS = st.integers(1, 50) | st.integers(10**5, 10**9)
 sources = unimodular() | st.builds(
     lambda name: {"example": name}, st.sampled_from(EXAMPLES)
