@@ -54,13 +54,13 @@ from .criteria import (
     ANCHORS,
     AfResult,
     AuditRecord,
-    Certainty,
     LcsLength,
     SubgroupReport,
     Verdict,
     Witness,
     af_criterion,
     augmentation_power_check,
+    certainty,
     classify_f2,
     classify_family,
     classify_general,
@@ -69,7 +69,6 @@ from .criteria import (
     integer_eigenvalue_criterion,
     is_prime,
     lie_component_audit,
-    make_witness,
     mikhailov_module_check,
     mod_p_unipotency,
     tensor_power_audit,

@@ -38,6 +38,7 @@ from .criteria import (
     LcsLength,
     Verdict,
     augmentation_power_check,  # unused here; perfbench/spans.py wraps this name
+    certainty,
     classify_family as _classify_family,  # perfbench/spans.py wraps this name
     classify_general,
     mod_p_unipotency,  # unused here; perfbench/spans.py wraps this name
@@ -272,7 +273,7 @@ def _find_builtin(name: str) -> BuiltinExample:
 
 
 def _expectation_matches(ex: BuiltinExample, v: Verdict) -> bool:
-    if v.residually_nilpotent[0] is not ex.expect_resnil:
+    if v.residually_nilpotent is not ex.expect_resnil:
         return False
     if v.lcs_length.value != ex.expect_lcs:
         return False
@@ -296,12 +297,10 @@ def _matrix_lines(A: IntMatrix, indent: str = "    ") -> list[str]:
 
 
 def _verdict_lines(v: Verdict) -> list[str]:
-    rv, rc = v.residually_nilpotent
-    lines = [f"residually nilpotent: {_yesno(rv)}  [{rc}]"]
-    lines.append(
-        f"lower central series length: {v.lcs_length.display()}  [{v.lcs_certainty}]"
-    )
-    if v.lcs_length is LcsLength.TWO:
+    rv, lcs = v.residually_nilpotent, v.lcs_length
+    lines = [f"residually nilpotent: {_yesno(rv)}  [{certainty(rv)}]"]
+    lines.append(f"lower central series length: {lcs.display()}  [{certainty(lcs)}]")
+    if lcs is LcsLength.TWO:
         lines.append("gamma_omega = gamma_2 (length 2)")
     if v.p_finite_all_primes:
         lines.append("residually p-finite: every prime  [proven]")
@@ -310,8 +309,8 @@ def _verdict_lines(v: Verdict) -> list[str]:
         lines.append(f"residually p-finite: proven for p in {{{ps}}}")
     else:
         lines.append("residually p-finite: no prime proven")
-    for p, val, cert in v.residually_p_finite:
-        lines.append(f"  p={p}: {_yesno(val)}  [{cert}]")
+    for p, val in v.residually_p_finite:
+        lines.append(f"  p={p}: {_yesno(val)}  [{certainty(val)}]")
     return lines
 
 

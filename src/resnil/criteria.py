@@ -52,11 +52,10 @@ from .zlinalg import (
 )
 
 __all__ = [
-    "Certainty",
     "LcsLength",
     "Witness",
     "ANCHORS",
-    "make_witness",
+    "certainty",
     "Verdict",
     "AfResult",
     "AuditRecord",
@@ -107,41 +106,6 @@ def _require_unimodular(A: IntMatrix) -> int:
 # ---------------------------------------------------------------------------
 # certainty, witnesses, verdicts
 
-PROVEN = "proven"
-UNKNOWN = "unknown"
-
-
-@dataclasses.dataclass(frozen=True)
-class Certainty:
-    """Proof status of a single claim: proven or unknown."""
-
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in (PROVEN, UNKNOWN):
-            raise ValueError(f"bad certainty kind {self.kind!r}")
-
-    @staticmethod
-    def proven() -> "Certainty":
-        return Certainty(PROVEN)
-
-    @staticmethod
-    def unknown() -> "Certainty":
-        return Certainty(UNKNOWN)
-
-    def to_dict(self) -> dict:
-        # the JSON shape keeps its "bound" key, always null
-        return {"kind": self.kind, "bound": None}
-
-    @staticmethod
-    def from_dict(d: dict) -> "Certainty":
-        if d.get("bound") is not None:
-            raise ValueError(f"a certainty carries no bound, got {d['bound']!r}")
-        return Certainty(d["kind"])
-
-    def __str__(self) -> str:
-        return self.kind
-
 
 class LcsLength(enum.Enum):
     """Transfinite length of the lower central series, as far as the
@@ -159,6 +123,13 @@ class LcsLength(enum.Enum):
             LcsLength.OMEGA_SQUARED: "omega^2",
             LcsLength.UNKNOWN: "unknown",
         }[self]
+
+
+def certainty(value) -> str:
+    """Proof status of a claim, read off its value: every value a
+    verdict holds is proven, except an unknown one (None or
+    LcsLength.UNKNOWN)."""
+    return "unknown" if value is None or value is LcsLength.UNKNOWN else "proven"
 
 
 # Fixed citation table: every witness anchor comes from here.  Names
@@ -209,108 +180,104 @@ ANCHORS = {
 @dataclasses.dataclass(frozen=True)
 class Witness:
     criterion: str
-    anchor: str
     evidence: str
 
     def __post_init__(self):
         if self.criterion not in ANCHORS:
             raise ValueError(f"unknown witness criterion {self.criterion!r}")
-        if self.anchor != ANCHORS[self.criterion]:
-            raise ValueError("witness anchor does not match the citation table")
         if not self.evidence:
             raise ValueError("witness evidence must be nonempty")
 
+    @property
+    def anchor(self) -> str:
+        return ANCHORS[self.criterion]
 
-def make_witness(criterion: str, evidence: str) -> Witness:
-    return Witness(criterion, ANCHORS.get(criterion, ""), evidence)
+
+def _certainty_dict(value) -> dict:
+    # the JSON shape keeps its "bound" key, always null
+    return {"kind": certainty(value), "bound": None}
+
+
+def _checked(cert: dict, value):
+    """value, once its certainty object from a JSON document is the one
+    to_dict would write for it."""
+    if cert.get("bound") is not None:
+        raise ValueError(f"a certainty carries no bound, got {cert['bound']!r}")
+    if cert.get("kind") != certainty(value):
+        raise ValueError(f"certainty {cert.get('kind')!r} does not fit value {value!r}")
+    return value
+
+
+def _witness_from_dict(w: dict) -> Witness:
+    out = Witness(w["criterion"], w["evidence"])
+    if w["anchor"] != out.anchor:
+        raise ValueError("witness anchor does not match the citation table")
+    return out
 
 
 @dataclasses.dataclass(frozen=True)
 class Verdict:
-    """Classification result.
+    """Classification result: what the classifier decided, no more.
 
-    residually_nilpotent is (value, certainty); value None only under
-    unknown certainty.  residually_p_finite holds per-prime entries
-    (prime, value, certainty), sorted; p_finite_all_primes flags the
-    proven "every prime" case.  lcs_length reports the lower central
-    series length with its own certainty.
+    residually_nilpotent is True, False or None (unknown).
+    residually_p_finite holds per-prime (prime, value) pairs, sorted;
+    p_finite_all_primes flags the proven "every prime" case.  lcs_length
+    is the lower central series length.  Each claim's certainty is
+    certainty(value), and each witness's anchor comes from ANCHORS.
     """
 
-    residually_nilpotent: tuple
+    residually_nilpotent: Optional[bool]
     p_finite_all_primes: bool
     residually_p_finite: tuple
     lcs_length: LcsLength
-    lcs_certainty: Certainty
     witnesses: tuple
 
     def __post_init__(self):
-        rv, rc = self.residually_nilpotent
-        if not isinstance(rc, Certainty):
-            raise ValueError("residually_nilpotent needs a Certainty")
-        if (rv is None) != (rc.kind == UNKNOWN):
-            raise ValueError("value None exactly when certainty is unknown")
-        object.__setattr__(self, "residually_nilpotent", (rv, rc))
         entries = tuple(
             sorted(
-                ((int(p), v, c) for p, v, c in self.residually_p_finite),
+                ((int(p), v) for p, v in self.residually_p_finite),
                 key=lambda t: t[0],
             )
         )
-        for p, v, c in entries:
+        for p, _ in entries:
             if not is_prime(p):
                 raise ValueError(f"p-finite entry at non-prime {p}")
-            if (v is None) != (c.kind == UNKNOWN):
-                raise ValueError("value None exactly when certainty is unknown")
-        if len({p for p, _, _ in entries}) != len(entries):
+        if len(dict(entries)) != len(entries):
             raise ValueError("duplicate prime entries")
         object.__setattr__(self, "residually_p_finite", entries)
         object.__setattr__(self, "witnesses", tuple(self.witnesses))
-        if self.p_finite_all_primes and self.residually_nilpotent != (
-            True,
-            Certainty.proven(),
-        ):
-            raise ValueError("all-primes flag requires proven residual nilpotence")
-        for p, v, c in entries:
-            if v is True and c.kind == PROVEN:
-                if self.residually_nilpotent != (True, Certainty.proven()):
-                    raise ValueError(
-                        "proven residual p-finiteness forces proven residual "
-                        "nilpotence"
-                    )
-        if self.lcs_length is LcsLength.TWO and self.residually_nilpotent[0] is not False:
+        if self.residually_nilpotent is not True:
+            if self.p_finite_all_primes:
+                raise ValueError("all-primes flag requires residual nilpotence")
+            if self.proven_primes():
+                raise ValueError("residual p-finiteness forces residual nilpotence")
+        if self.lcs_length is LcsLength.TWO and self.residually_nilpotent is not False:
             raise ValueError("series length two forces non residual nilpotence")
 
     # conveniences -----------------------------------------------------
 
     def p_finite_map(self) -> dict:
-        return {p: (v, c) for p, v, c in self.residually_p_finite}
+        return dict(self.residually_p_finite)
 
     def p_finite_proven(self, p: int) -> bool:
-        if self.p_finite_all_primes:
-            return True
-        ent = self.p_finite_map().get(p)
-        return ent is not None and ent[0] is True and ent[1].kind == PROVEN
+        return self.p_finite_all_primes or self.p_finite_map().get(p) is True
 
     def proven_primes(self) -> tuple[int, ...]:
-        return tuple(
-            p
-            for p, v, c in self.residually_p_finite
-            if v is True and c.kind == PROVEN
-        )
+        return tuple(p for p, v in self.residually_p_finite if v is True)
 
     # serialization ----------------------------------------------------
 
     def to_dict(self) -> dict:
-        rv, rc = self.residually_nilpotent
+        rv = self.residually_nilpotent
         return {
-            "residually_nilpotent": {"value": rv, "certainty": rc.to_dict()},
+            "residually_nilpotent": {"value": rv, "certainty": _certainty_dict(rv)},
             "p_finite_all_primes": self.p_finite_all_primes,
             "residually_p_finite": [
-                {"p": p, "value": v, "certainty": c.to_dict()}
-                for p, v, c in self.residually_p_finite
+                {"p": p, "value": v, "certainty": _certainty_dict(v)}
+                for p, v in self.residually_p_finite
             ],
             "lcs_length": self.lcs_length.value,
-            "lcs_certainty": self.lcs_certainty.to_dict(),
+            "lcs_certainty": _certainty_dict(self.lcs_length),
             "witnesses": [
                 {"criterion": w.criterion, "anchor": w.anchor, "evidence": w.evidence}
                 for w in self.witnesses
@@ -319,20 +286,18 @@ class Verdict:
 
     @staticmethod
     def from_dict(d: dict) -> "Verdict":
+        """The verdict to_dict wrote d from; ValueError when a certainty
+        object or an anchor is not the one to_dict would write."""
         rn = d["residually_nilpotent"]
         return Verdict(
-            (rn["value"], Certainty.from_dict(rn["certainty"])),
+            _checked(rn["certainty"], rn["value"]),
             bool(d["p_finite_all_primes"]),
             tuple(
-                (e["p"], e["value"], Certainty.from_dict(e["certainty"]))
+                (e["p"], _checked(e["certainty"], e["value"]))
                 for e in d["residually_p_finite"]
             ),
-            LcsLength(d["lcs_length"]),
-            Certainty.from_dict(d["lcs_certainty"]),
-            tuple(
-                Witness(w["criterion"], w["anchor"], w["evidence"])
-                for w in d["witnesses"]
-            ),
+            _checked(d["lcs_certainty"], LcsLength(d["lcs_length"])),
+            tuple(_witness_from_dict(w) for w in d["witnesses"]),
         )
 
 
@@ -690,7 +655,7 @@ def augmentation_power_check(Bs: Iterable[IntMatrix], modulus: int) -> Optional[
 
 
 def _chain_witness() -> Witness:
-    return make_witness(
+    return Witness(
         "p_finite_implies_nilpotent",
         "residual p-finiteness for some prime implies residual nilpotence",
     )
@@ -708,8 +673,7 @@ def _verdict(
 
     A requested prime is a proven no when resnil is False, a proven yes
     when it is in proven or all_primes is set, and unknown otherwise;
-    the primes in proven are reported even when not requested.  Each
-    certainty is proven unless its value is unknown.
+    the primes in proven are reported even when not requested.
     """
     if resnil is False:
         values = dict.fromkeys(req, False)
@@ -718,17 +682,7 @@ def _verdict(
         for p in req:
             values.setdefault(p, True if all_primes else None)
 
-    def certainty(known: bool) -> Certainty:
-        return Certainty.proven() if known else Certainty.unknown()
-
-    return Verdict(
-        (resnil, certainty(resnil is not None)),
-        all_primes,
-        tuple((p, v, certainty(v is not None)) for p, v in values.items()),
-        lcs,
-        certainty(lcs is not LcsLength.UNKNOWN),
-        tuple(witnesses),
-    )
+    return Verdict(resnil, all_primes, tuple(values.items()), lcs, witnesses)
 
 
 def classify_f2(A: IntMatrix, primes: Iterable[int] = ()) -> Verdict:
@@ -753,11 +707,11 @@ def classify_f2(A: IntMatrix, primes: Iterable[int] = ()) -> Verdict:
 
     if abs(dAe) == 1:
         witnesses = [
-            make_witness(
+            Witness(
                 "rank2_classification",
                 f"det={det}, tr={tr}: gamma_2 = gamma_omega is the fiber",
             ),
-            make_witness("fiber_stabilization", f"det(A-E)={dAe} is a unit"),
+            Witness("fiber_stabilization", f"det(A-E)={dAe} is a unit"),
         ]
         return _verdict(False, LcsLength.TWO, witnesses, req)
 
@@ -765,7 +719,7 @@ def classify_f2(A: IntMatrix, primes: Iterable[int] = ()) -> Verdict:
         d = tr - 2
         if d == 0:
             witnesses = [
-                make_witness(
+                Witness(
                     "rank2_classification",
                     f"det=1, tr=2: tr-2=0, residually p-finite for every prime",
                 ),
@@ -774,7 +728,7 @@ def classify_f2(A: IntMatrix, primes: Iterable[int] = ()) -> Verdict:
             return _verdict(True, LcsLength.OMEGA, witnesses, req, all_primes=True)
         ps = prime_divisors(d)
         witnesses = [
-            make_witness(
+            Witness(
                 "rank2_classification",
                 f"det=1, tr={tr}: residually p-finite for p dividing tr-2={d}",
             ),
@@ -784,7 +738,7 @@ def classify_f2(A: IntMatrix, primes: Iterable[int] = ()) -> Verdict:
 
     if tr % 2 == 0:
         witnesses = [
-            make_witness(
+            Witness(
                 "rank2_classification",
                 f"det=-1, tr={tr} even: residually 2-finite",
             ),
@@ -793,7 +747,7 @@ def classify_f2(A: IntMatrix, primes: Iterable[int] = ()) -> Verdict:
         return _verdict(True, LcsLength.OMEGA, witnesses, req, proven=(2,))
 
     witnesses = [
-        make_witness(
+        Witness(
             "rank2_classification",
             f"det=-1, tr={tr} odd with |tr|>1: gamma_omega nontrivial, "
             "gamma_omega^2 trivial",
@@ -818,7 +772,7 @@ def finite_index_resnil_subgroup(A: IntMatrix) -> SubgroupReport:
     always residually nilpotent.
     """
     base = classify_f2(A)
-    if base.residually_nilpotent[0] is True:
+    if base.residually_nilpotent is True:
         return SubgroupReport(1, A, base)
     det = determinant(A)
     tr = A.trace()
@@ -829,9 +783,9 @@ def finite_index_resnil_subgroup(A: IntMatrix) -> SubgroupReport:
         P = A.power(2)
         index = 2
     sub = classify_f2(P)
-    assert sub.residually_nilpotent[0] is True
+    assert sub.residually_nilpotent is True
     witnesses = sub.witnesses + (
-        make_witness(
+        Witness(
             "virtual_subgroup",
             f"index {index} subgroup via monodromy power {index}: "
             f"det={determinant(P)}, tr={P.trace()}",
@@ -853,11 +807,11 @@ def _audit_witnesses(
         )
 
     return [
-        make_witness(
+        Witness(
             "tensor_power_audit",
             f"af-nilpotence on tensor powers: {bits(False)}; verified up to bound {K}",
         ),
-        make_witness(
+        Witness(
             "lie_component_audit",
             f"af-nilpotence on Lie components: {bits(True)}; verified up to bound {K}",
         ),
@@ -900,12 +854,12 @@ def classify_general(
     witnesses: list[Witness] = []
     af = graded.level(1, lie=False)
     vals = ", ".join(f"({f}) -> {val}" for f, val in af.factor_values)
-    factor_witness = make_witness("char_poly_factor_values", f"factor values at 1: {vals}")
+    factor_witness = Witness("char_poly_factor_values", f"factor values at 1: {vals}")
     dAe = determinant(A.minus_identity())
 
     if abs(dAe) == 1:
         witnesses.append(
-            make_witness(
+            Witness(
                 "fiber_stabilization",
                 f"det(A-E)={dAe} is a unit: gamma_2 = gamma_omega is the fiber",
             )
@@ -922,7 +876,7 @@ def classify_general(
         if all_plus:
             all_flag = True
             witnesses.append(
-                make_witness(
+                Witness(
                     "integer_spectrum",
                     "all eigenvalues are +1: residually p-finite for every prime",
                 )
@@ -931,7 +885,7 @@ def classify_general(
             assert has_minus
             proven.add(2)
             witnesses.append(
-                make_witness(
+                Witness(
                     "integer_spectrum",
                     "all eigenvalues are +-1 with a -1: residually 2-finite",
                 )
@@ -949,7 +903,7 @@ def classify_general(
             assert N is not None
             proven.add(p)
             witnesses.append(
-                make_witness(
+                Witness(
                     "congruence_unipotency",
                     f"(A-E)^{N} = 0 mod {p}: residually {p}-finite",
                 )
@@ -958,7 +912,7 @@ def classify_general(
     witnesses.append(factor_witness)
     if not af.nilpotent:
         witnesses.append(
-            make_witness(
+            Witness(
                 "abelian_quotient_evidence",
                 "the abelianized fiber group is not residually nilpotent; "
                 "no conclusion for the full group",
@@ -976,7 +930,7 @@ def classify_general(
         lcs = LcsLength.OMEGA if n >= 2 else LcsLength.UNKNOWN
         return _verdict(True, lcs, witnesses, req, proven, all_flag)
     witnesses.append(
-        make_witness(
+        Witness(
             "rank_open_problem",
             f"rank {n}: no exact classification applies; "
             "series length left unknown",
@@ -989,44 +943,42 @@ def classify_family(mats: Iterable[IntMatrix], primes: Iterable[int] = ()) -> Ve
     """Classifier for a fiber acted on by a family of action matrices,
     from a certificate at the prime 2.
 
-    Every matrix unipotent mod 2 and the family's augmentation powers
-    landing in 2 times the fiber lattice prove residual 2-finiteness,
-    hence residual nilpotence; otherwise nothing is concluded.
-    Requested primes other than 2 are reported unknown.
+    The family's augmentation powers landing in 2 times the fiber
+    lattice prove residual 2-finiteness, hence residual nilpotence;
+    otherwise nothing is concluded.  That landing makes every B - E
+    nilpotent mod 2, so each matrix also gets its own mod-2 unipotency
+    witness.  Requested primes other than 2 are reported unknown.
     """
     req = _validated_primes(primes)
     mats = list(mats)
     witnesses = []
-    ns = []
     for i, B in enumerate(mats, 1):
         N = mod_p_unipotency(B, 2)
-        ns.append(N)
         if N is not None:
             witnesses.append(
-                make_witness(
+                Witness(
                     "congruence_unipotency",
                     f"matrix {i}: (B-E)^{N} = 0 mod 2",
                 )
             )
     aug = augmentation_power_check(mats, 2)
-    if aug is not None:
+    if aug is None:
         witnesses.append(
-            make_witness(
-                "augmentation_contraction",
-                f"augmentation power {aug} of the family lands in 2 times "
-                "the fiber lattice",
-            )
-        )
-    if aug is None or any(N is None for N in ns):
-        witnesses.append(
-            make_witness(
+            Witness(
                 "abelian_quotient_evidence",
                 "family certificate incomplete; no conclusion",
             )
         )
         return _verdict(None, LcsLength.UNKNOWN, witnesses, req)
     witnesses.append(
-        make_witness(
+        Witness(
+            "augmentation_contraction",
+            f"augmentation power {aug} of the family lands in 2 times "
+            "the fiber lattice",
+        )
+    )
+    witnesses.append(
+        Witness(
             "p_finite_implies_nilpotent",
             "residual 2-finiteness of the family implies residual nilpotence",
         )

@@ -10,8 +10,8 @@ import math
 import random
 
 from resnil.criteria import (
-    Certainty,
     LcsLength,
+    certainty,
     classify_f2,
     classify_general,
     finite_index_resnil_subgroup,
@@ -54,9 +54,9 @@ def test_01_flat_manifold_action_has_series_length_omega_squared():
     A = abelianization_matrix(endo)
     assert A.to_rows() == [[0, 1], [1, 3]]
     v = classify_general(endo)
-    assert v.residually_nilpotent == (False, Certainty.proven())
+    assert v.residually_nilpotent is False
     assert v.lcs_length is LcsLength.OMEGA_SQUARED
-    assert v.lcs_certainty == Certainty.proven()
+    assert certainty(v.lcs_length) == "proven"
     recs = tensor_power_audit(A, 3)
     assert [r.k for r in recs] == [1, 2, 3]
     assert all(r.af_nilpotent for r in recs)
@@ -69,8 +69,8 @@ def test_01_flat_manifold_action_has_series_length_omega_squared():
 def test_02_squared_action_becomes_residually_three_finite():
     text, v = run(JobSpec(example="mikhailov", power=2))
     assert "det A = 1; tr A = 11" in text
-    assert v.residually_nilpotent == (True, Certainty.proven())
-    assert v.p_finite_map()[3] == (True, Certainty.proven())
+    assert v.residually_nilpotent is True
+    assert v.p_finite_map()[3] is True
     print(
         "criterion 2: squared action has det 1, trace 11, residually "
         "3-finite"
@@ -83,8 +83,8 @@ def test_03_braid_action_stops_at_the_fiber():
     assert determinant(A.minus_identity()) == 1
     v = classify_f2(A)
     assert v.lcs_length is LcsLength.TWO
-    assert v.lcs_certainty == Certainty.proven()
-    assert v.residually_nilpotent == (False, Certainty.proven())
+    assert certainty(v.lcs_length) == "proven"
+    assert v.residually_nilpotent is False
     print(
         "criterion 3: [[1,1],[-1,0]] has unit displacement, series "
         "length two"
@@ -96,8 +96,8 @@ def test_04_klein_bottle_braid_pair_is_residually_nilpotent():
     for B in pair:
         assert mod_p_unipotency(B, 2) == 1
     _, v = run(JobSpec(example="klein_p2"))
-    assert v.residually_nilpotent == (True, Certainty.proven())
-    assert v.p_finite_map()[2] == (True, Certainty.proven())
+    assert v.residually_nilpotent is True
+    assert v.p_finite_map()[2] is True
     print(
         "criterion 4: both Klein bottle action matrices vanish mod 2 "
         "at the first power; verdict residually nilpotent"
@@ -113,16 +113,13 @@ def test_05_rank_two_truth_table():
             formula = (det == 1 and tr not in (1, 3)) or (
                 det == -1 and tr % 2 == 0
             )
-            assert v.residually_nilpotent == (formula, Certainty.proven()), (
-                det,
-                tr,
-            )
+            assert v.residually_nilpotent is formula, (det, tr)
             assert v.lcs_length in (
                 LcsLength.TWO,
                 LcsLength.OMEGA,
                 LcsLength.OMEGA_SQUARED,
             )
-            assert v.lcs_certainty == Certainty.proven()
+            assert certainty(v.lcs_length) == "proven"
             # the three cases are mutually exclusive by construction of
             # the enum; confirm the assignment is the expected one
             if det == 1 and tr in (1, 3):
@@ -232,10 +229,7 @@ def test_10_every_action_has_a_small_residually_nilpotent_power():
         for tr in range(-8, 9):
             A = companion2(det, tr)
             rep = finite_index_resnil_subgroup(A)
-            assert rep.sub_verdict.residually_nilpotent == (
-                True,
-                Certainty.proven(),
-            ), (det, tr)
+            assert rep.sub_verdict.residually_nilpotent is True, (det, tr)
             if det == -1 and tr in (1, -1):
                 assert rep.index == 4
                 assert rep.power_matrix.trace() == 7

@@ -18,7 +18,7 @@ from resnil.cli import (
     parse_matrix_literal,
     run,
 )
-from resnil.criteria import Certainty, Verdict, classify_general
+from resnil.criteria import Verdict, classify_general
 from resnil.errors import DimensionMismatch, NotPrime, WordSyntaxError
 from resnil.freegroup import abelianization_matrix, endo_power
 
@@ -87,7 +87,7 @@ class TestReports:
         assert "det A = 1; tr A = 1; det(A-E) = 1" in text
         assert "residually nilpotent: no  [proven]" in text
         assert "lower central series length: 2  [proven]" in text
-        assert v.residually_nilpotent[0] is False
+        assert v.residually_nilpotent is False
 
     def test_certainty_always_printed(self):
         for name in ("braid3", "identity", "mikhailov"):
@@ -110,8 +110,8 @@ class TestReports:
     def test_power_applied_before_classification(self):
         text, v = run(JobSpec(example="mikhailov", power=2))
         assert "det A = 1; tr A = 11" in text
-        assert v.residually_nilpotent[0] is True
-        assert v.p_finite_map()[3][0] is True
+        assert v.residually_nilpotent is True
+        assert v.p_finite_map()[3] is True
 
 
 class TestJsonInterface:
@@ -371,7 +371,7 @@ class TestBuiltinExamples:
     def test_each_example_matches_expectations(self):
         for ex in builtin_examples():
             _, v = run(JobSpec(example=ex.name))
-            assert v.residually_nilpotent[0] is ex.expect_resnil, ex.name
+            assert v.residually_nilpotent is ex.expect_resnil, ex.name
             assert v.lcs_length.value == ex.expect_lcs, ex.name
             for p in ex.expect_primes:
                 assert v.p_finite_proven(p), (ex.name, p)
@@ -382,7 +382,7 @@ class TestBuiltinExamples:
         assert "family of 2 action matrices" in text
         assert "matrix 1:" in text and "matrix 2:" in text
         assert "builtin expectation check: ok" in text
-        assert v.residually_nilpotent == (True, Certainty.proven())
+        assert v.residually_nilpotent is True
 
     def test_automorphism_proof_line(self):
         text, _ = run(

@@ -1,5 +1,6 @@
 """Decision procedure tests: residual nilpotence and p-finiteness."""
 
+import dataclasses
 import math
 import random
 
@@ -10,12 +11,12 @@ import resnil.intpoly as intpoly
 from resnil.criteria import (
     ANCHORS,
     AfResult,
-    Certainty,
     LcsLength,
     Verdict,
     Witness,
     af_criterion,
     augmentation_power_check,
+    certainty,
     classify_f2,
     classify_family,
     classify_general,
@@ -24,7 +25,6 @@ from resnil.criteria import (
     integer_eigenvalue_criterion,
     is_prime,
     lie_component_audit,
-    make_witness,
     mikhailov_module_check,
     mod_p_unipotency,
     tensor_power_audit,
@@ -89,25 +89,67 @@ class TestPrimality:
             assert is_prime(n) == (n in primes)
 
 
+def _decided():
+    # resnil True, lcs omega, p = 3 and 5 proven, p = 2 unknown
+    return classify_f2(companion2(1, 17), primes=(2, 3))
+
+
+def _undecided():
+    # resnil and lcs unknown
+    return classify_general(M([[0, 0, 1], [1, 0, -4], [0, 1, 4]]), 2, primes=(2,))
+
+
+def _refused(verdict, path, value):
+    """from_dict accepts verdict's document as written and refuses it
+    with doc[path...] set to value."""
+    doc = verdict.to_dict()
+    assert Verdict.from_dict(doc) == verdict
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(ValueError):
+        Verdict.from_dict(doc)
+
+
+def _certainty_doc(kind, bound=None):
+    return {"kind": kind, "bound": bound}
+
+
 class TestCertainty:
-    def test_constructors(self):
-        assert Certainty.proven().kind == "proven"
-        assert Certainty.unknown().kind == "unknown"
+    def test_certainty_of_each_value(self):
+        assert certainty(True) == "proven"
+        assert certainty(False) == "proven"
+        assert certainty(None) == "unknown"
+        for lcs in LcsLength:
+            expect = "unknown" if lcs is LcsLength.UNKNOWN else "proven"
+            assert certainty(lcs) == expect
 
     def test_dict_round_trip(self):
-        for c in (Certainty.proven(), Certainty.unknown()):
-            assert c.to_dict() == {"kind": c.kind, "bound": None}
-            assert Certainty.from_dict(c.to_dict()) == c
+        # the certainty objects are written from the values
+        doc = _decided().to_dict()
+        assert doc["residually_nilpotent"]["certainty"] == _certainty_doc("proven")
+        assert doc["lcs_certainty"] == _certainty_doc("proven")
+        assert [e["certainty"] for e in doc["residually_p_finite"]] == [
+            _certainty_doc("unknown"),
+            _certainty_doc("proven"),
+            _certainty_doc("proven"),
+        ]
+        doc = _undecided().to_dict()
+        assert doc["residually_nilpotent"]["certainty"] == _certainty_doc("unknown")
+        assert doc["lcs_certainty"] == _certainty_doc("unknown")
+        for v in (_decided(), _undecided()):
+            assert Verdict.from_dict(v.to_dict()) == v
+            assert Verdict.from_dict(v.to_dict()).to_dict() == v.to_dict()
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            Certainty("maybe")
-        with pytest.raises(ValueError):
-            Certainty("up_to_bound")
-        with pytest.raises(ValueError):
-            Certainty.from_dict({"kind": "proven", "bound": 3})
-        with pytest.raises(ValueError):
-            Certainty.from_dict({"kind": "up_to_bound", "bound": 3})
+        # a non-null bound, or a kind that is neither proven nor unknown
+        v = _decided()
+        _refused(v, ["residually_nilpotent", "certainty", "bound"], 3)
+        _refused(v, ["residually_p_finite", 1, "certainty", "bound"], 3)
+        _refused(v, ["lcs_certainty", "bound"], 3)
+        _refused(v, ["residually_nilpotent", "certainty", "kind"], "maybe")
+        _refused(v, ["lcs_certainty"], _certainty_doc("up_to_bound", 3))
 
     def test_verdict_document_with_a_bound_is_refused(self):
         doc = classify_f2(M([[2, 1], [1, 1]]), primes=(5,)).to_dict()
@@ -118,81 +160,60 @@ class TestCertainty:
 
 
 class TestWitness:
-    def test_make_witness_uses_citation_table(self):
-        w = make_witness("fiber_stabilization", "det(A-E)=1 is a unit")
-        assert w.anchor == ANCHORS["fiber_stabilization"]
+    def test_anchor_comes_from_citation_table(self):
+        for criterion, anchor in ANCHORS.items():
+            assert Witness(criterion, "evidence").anchor == anchor
+
+    def test_anchor_is_not_stored(self):
+        names = [f.name for f in dataclasses.fields(Witness)]
+        assert names == ["criterion", "evidence"]
 
     def test_unknown_criterion_rejected(self):
         with pytest.raises(ValueError):
-            make_witness("made_up_criterion", "x")
+            Witness("made_up_criterion", "x")
 
     def test_tampered_anchor_rejected(self):
-        with pytest.raises(ValueError):
-            Witness("fiber_stabilization", "wrong anchor", "x")
+        _refused(_decided(), ["witnesses", 0, "anchor"], "wrong anchor")
 
     def test_empty_evidence_rejected(self):
         with pytest.raises(ValueError):
-            make_witness("fiber_stabilization", "")
+            Witness("fiber_stabilization", "")
 
 
 class TestVerdictInvariants:
     def test_value_none_requires_unknown(self):
-        with pytest.raises(ValueError):
-            Verdict(
-                residually_nilpotent=(None, Certainty.proven()),
-                p_finite_all_primes=False,
-                residually_p_finite=(),
-                lcs_length=LcsLength.UNKNOWN,
-                lcs_certainty=Certainty.unknown(),
-                witnesses=(),
-            )
+        # a document whose certainty kind does not fit its value
+        v, u = _decided(), _undecided()
+        _refused(v, ["residually_nilpotent", "certainty", "kind"], "unknown")
+        _refused(u, ["residually_nilpotent", "certainty", "kind"], "proven")
+        _refused(v, ["residually_p_finite", 1, "certainty", "kind"], "unknown")
+        _refused(v, ["residually_p_finite", 0, "certainty", "kind"], "proven")
+        _refused(u, ["lcs_certainty", "kind"], "proven")
+        # a known series length under an unknown certainty
+        _refused(v, ["lcs_certainty", "kind"], "unknown")
 
     def test_proven_p_finiteness_forces_proven_nilpotence(self):
         with pytest.raises(ValueError):
-            Verdict(
-                residually_nilpotent=(False, Certainty.proven()),
-                p_finite_all_primes=False,
-                residually_p_finite=((3, True, Certainty.proven()),),
-                lcs_length=LcsLength.UNKNOWN,
-                lcs_certainty=Certainty.unknown(),
-                witnesses=(),
-            )
+            Verdict(False, False, ((3, True),), LcsLength.UNKNOWN, ())
+        with pytest.raises(ValueError):
+            Verdict(None, False, ((3, True),), LcsLength.UNKNOWN, ())
 
     def test_all_primes_flag_needs_proven_nilpotence(self):
         with pytest.raises(ValueError):
-            Verdict(
-                residually_nilpotent=(None, Certainty.unknown()),
-                p_finite_all_primes=True,
-                residually_p_finite=(),
-                lcs_length=LcsLength.UNKNOWN,
-                lcs_certainty=Certainty.unknown(),
-                witnesses=(),
-            )
+            Verdict(None, True, (), LcsLength.UNKNOWN, ())
+
+    def test_series_length_two_forces_non_nilpotence(self):
+        with pytest.raises(ValueError):
+            Verdict(None, False, (), LcsLength.TWO, ())
+        assert Verdict(False, False, ((2, False),), LcsLength.TWO, ()).proven_primes() == ()
 
     def test_non_prime_entry_rejected(self):
         with pytest.raises(ValueError):
-            Verdict(
-                residually_nilpotent=(True, Certainty.proven()),
-                p_finite_all_primes=False,
-                residually_p_finite=((4, True, Certainty.proven()),),
-                lcs_length=LcsLength.OMEGA,
-                lcs_certainty=Certainty.proven(),
-                witnesses=(),
-            )
+            Verdict(True, False, ((4, True),), LcsLength.OMEGA, ())
 
     def test_duplicate_primes_rejected(self):
         with pytest.raises(ValueError):
-            Verdict(
-                residually_nilpotent=(True, Certainty.proven()),
-                p_finite_all_primes=False,
-                residually_p_finite=(
-                    (3, True, Certainty.proven()),
-                    (3, None, Certainty.unknown()),
-                ),
-                lcs_length=LcsLength.OMEGA,
-                lcs_certainty=Certainty.proven(),
-                witnesses=(),
-            )
+            Verdict(True, False, ((3, True), (3, None)), LcsLength.OMEGA, ())
 
     def test_dict_round_trip(self):
         rng = random.Random(191)
@@ -202,7 +223,7 @@ class TestVerdictInvariants:
 
     def test_entries_sorted_by_prime(self):
         v = classify_f2(companion2(1, 17), primes=(7, 2))
-        ps = [p for p, _, _ in v.residually_p_finite]
+        ps = [p for p, _ in v.residually_p_finite]
         assert ps == sorted(ps)
 
 
@@ -458,10 +479,7 @@ class TestRankTwoClassification:
                 expect = (det == 1 and tr not in (1, 3)) or (
                     det == -1 and tr % 2 == 0
                 )
-                assert v.residually_nilpotent == (
-                    expect,
-                    Certainty.proven(),
-                ), (det, tr)
+                assert v.residually_nilpotent is expect, (det, tr)
 
     def test_trichotomy_total_and_exclusive(self):
         for det in (1, -1):
@@ -472,7 +490,7 @@ class TestRankTwoClassification:
                     LcsLength.OMEGA,
                     LcsLength.OMEGA_SQUARED,
                 )
-                assert v.lcs_certainty == Certainty.proven()
+                assert certainty(v.lcs_length) == "proven"
 
     def test_series_length_cases(self):
         assert classify_f2(companion2(1, 1)).lcs_length is LcsLength.TWO
@@ -488,7 +506,7 @@ class TestRankTwoClassification:
             classify_f2(companion2(-1, 5)).lcs_length is LcsLength.OMEGA_SQUARED
         )
         assert (
-            classify_f2(companion2(1, 3)).residually_nilpotent[0] is False
+            classify_f2(companion2(1, 3)).residually_nilpotent is False
         )
 
     def test_prime_sets(self):
@@ -505,9 +523,8 @@ class TestRankTwoClassification:
     def test_requested_prime_without_certificate_stays_unknown(self):
         v = classify_f2(companion2(1, 4), primes=(5,))
         entries = v.p_finite_map()
-        assert entries[5][0] is None
-        assert entries[5][1] == Certainty.unknown()
-        assert entries[2][0] is True
+        assert entries[5] is None
+        assert entries[2] is True
 
     def test_not_nilpotent_has_no_proven_primes(self):
         for det, tr in ((1, 1), (1, 3), (-1, 5), (-1, -7)):
@@ -525,7 +542,7 @@ class TestVirtualSubgroup:
         rep = finite_index_resnil_subgroup(companion2(1, 1))
         assert rep.index == 2
         assert rep.power_matrix == companion2(1, 1).power(2)
-        assert rep.sub_verdict.residually_nilpotent[0] is True
+        assert rep.sub_verdict.residually_nilpotent is True
 
     def test_index_four_cases(self):
         for tr in (1, -1):
@@ -538,10 +555,7 @@ class TestVirtualSubgroup:
         for det in (1, -1):
             for tr in range(-8, 9):
                 rep = finite_index_resnil_subgroup(companion2(det, tr))
-                assert rep.sub_verdict.residually_nilpotent == (
-                    True,
-                    Certainty.proven(),
-                )
+                assert rep.sub_verdict.residually_nilpotent is True
                 assert rep.power_matrix == companion2(det, tr).power(rep.index)
 
 
@@ -560,7 +574,7 @@ class TestClassifyGeneral:
         # char x^3 - 2x^2 + x - 1 takes a unit value at 1
         A = M([[0, 0, 1], [1, 0, -1], [0, 1, 2]])
         v = classify_general(A)
-        assert v.residually_nilpotent == (False, Certainty.proven())
+        assert v.residually_nilpotent is False
         assert v.lcs_length is LcsLength.TWO
         assert "fiber_stabilization" in [w.criterion for w in v.witnesses]
 
@@ -568,8 +582,8 @@ class TestClassifyGeneral:
         # not decidable from factor values alone, but unipotent mod 3
         A = M([[0, 0, 1], [1, 0, 3], [0, 1, 3]])
         v = classify_general(A)
-        assert v.residually_nilpotent == (True, Certainty.proven())
-        assert v.p_finite_map()[3] == (True, Certainty.proven())
+        assert v.residually_nilpotent is True
+        assert v.p_finite_map()[3] is True
         assert "congruence_unipotency" in [w.criterion for w in v.witnesses]
 
     def test_rank_three_open_problem(self):
@@ -577,27 +591,27 @@ class TestClassifyGeneral:
         # problem surfaced as a witness
         A = M([[0, 0, 1], [1, 0, -4], [0, 1, 4]])
         v = classify_general(A)
-        assert v.residually_nilpotent == (None, Certainty.unknown())
+        assert v.residually_nilpotent is None
         assert "rank_open_problem" in [w.criterion for w in v.witnesses]
 
     def test_rank_three_unipotent(self):
         A = M([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
         v = classify_general(A)
-        assert v.residually_nilpotent == (True, Certainty.proven())
+        assert v.residually_nilpotent is True
         assert v.p_finite_all_primes
         assert v.lcs_length is LcsLength.OMEGA
 
     def test_rank_three_negative_eigenvalue(self):
         A = M([[1, 0, 0], [0, 1, 0], [0, 0, -1]])
         v = classify_general(A)
-        assert v.residually_nilpotent == (True, Certainty.proven())
-        assert v.p_finite_map()[2] == (True, Certainty.proven())
+        assert v.residually_nilpotent is True
+        assert v.p_finite_map()[2] is True
         assert "integer_spectrum" in [w.criterion for w in v.witnesses]
 
     def test_endomorphism_input(self):
         f = FreeEndo.from_strings(["b", "a b^3"])
         v = classify_general(f)
-        assert v.residually_nilpotent == (False, Certainty.proven())
+        assert v.residually_nilpotent is False
         assert v.lcs_length is LcsLength.OMEGA_SQUARED
 
     def test_proven_primes_are_the_content_primes(self):
@@ -651,7 +665,7 @@ class TestClassifyGeneral:
         with pytest.raises(PrimalityUnproven):
             prime_divisors(P)
         v = with_alarm(10, lambda: classify_general(A))
-        assert v.residually_nilpotent == (None, Certainty.unknown())
+        assert v.residually_nilpotent is None
         assert v.proven_primes() == ()
 
     def test_every_claim_carries_a_witness_anchor(self):
@@ -670,8 +684,8 @@ class TestClassifyFamily:
 
     def test_klein_pair_proves_two(self):
         v = classify_family(self.KLEIN)
-        assert v.residually_nilpotent == (True, Certainty.proven())
-        assert v.residually_p_finite == ((2, True, Certainty.proven()),)
+        assert v.residually_nilpotent is True
+        assert v.residually_p_finite == ((2, True),)
         assert not v.p_finite_all_primes
         assert v.lcs_length is LcsLength.UNKNOWN
         assert [(w.criterion, w.evidence) for w in v.witnesses] == [
@@ -691,8 +705,8 @@ class TestClassifyFamily:
 
     def test_member_not_unipotent_mod_two_decides_nothing(self):
         v = classify_family([self.KLEIN[0], M([[1, 1], [-1, 0]])], primes=(2,))
-        assert v.residually_nilpotent == (None, Certainty.unknown())
-        assert v.residually_p_finite == ((2, None, Certainty.unknown()),)
+        assert v.residually_nilpotent is None
+        assert v.residually_p_finite == ((2, None),)
         assert v.witnesses[-1].criterion == "abelian_quotient_evidence"
         assert v.witnesses[-1].evidence == (
             "family certificate incomplete; no conclusion"
@@ -700,15 +714,31 @@ class TestClassifyFamily:
 
     def test_other_requested_primes_stay_unknown(self):
         v = classify_family(self.KLEIN, primes=(5, 2, 3))
-        assert v.p_finite_map() == {
-            2: (True, Certainty.proven()),
-            3: (None, Certainty.unknown()),
-            5: (None, Certainty.unknown()),
-        }
+        assert v.p_finite_map() == {2: True, 3: None, 5: None}
 
     def test_non_prime_rejected(self):
         with pytest.raises(NotPrime):
             classify_family(self.KLEIN, primes=(2, 9))
+
+    def test_contraction_makes_every_member_unipotent_mod_two(self):
+        # every length-N product of the (B_i - E) vanishing mod 2 makes
+        # each B_i - E nilpotent mod 2, so the contraction alone decides
+        rng = random.Random(331)
+        contracted = 0
+        for _ in range(1000):
+            n = rng.choice((2, 3))
+            mats = [
+                M([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+                for _ in range(rng.randint(1, 3))
+            ]
+            if augmentation_power_check(mats, 2) is None:
+                continue
+            contracted += 1
+            for B in mats:
+                N = mod_p_unipotency(B, 2)
+                assert N is not None and N <= n, mats
+            assert classify_family(mats).residually_nilpotent is True
+        assert contracted >= 50
 
 
 class TestConsistencyAcrossCriteria:
@@ -733,8 +763,8 @@ class TestConsistencyAcrossCriteria:
             A = random_unimodular(rng, 2)
             v = classify_f2(A)
             if v.lcs_length is LcsLength.TWO:
-                assert v.residually_nilpotent[0] is False
-            if v.residually_nilpotent[0] is True:
+                assert v.residually_nilpotent is False
+            if v.residually_nilpotent is True:
                 assert v.lcs_length is LcsLength.OMEGA
 
 

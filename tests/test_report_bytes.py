@@ -20,8 +20,9 @@ import os
 
 import pytest
 
+from resnil import cli
 from resnil.cli import main
-from resnil.criteria import classify_family
+from resnil.criteria import Verdict, classify_family
 from resnil.zlinalg import IntMatrix
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "report_bytes.json")
@@ -95,10 +96,13 @@ def _cli_output(argv: list) -> list:
     return [code, out.getvalue()]
 
 
-def _family_incomplete() -> list:
+def _family_incomplete_verdict():
     # classify_family with a member that is not unipotent mod 2
-    mats = [IntMatrix.from_rows([[2, 1], [1, 1]])]
-    doc = classify_family(mats, primes=[2, 3]).to_dict()
+    return classify_family([IntMatrix.from_rows([[2, 1], [1, 1]])], primes=[2, 3])
+
+
+def _family_incomplete() -> list:
+    doc = _family_incomplete_verdict().to_dict()
     return [0, json.dumps(doc, indent=2, sort_keys=True) + "\n"]
 
 
@@ -125,6 +129,33 @@ def test_cli_report_bytes(name):
 
 def test_family_incomplete_bytes():
     assert _family_incomplete() == _recorded()["family-incomplete"]
+
+
+@pytest.mark.parametrize("name", sorted(CLI_JOBS) + ["family-incomplete"])
+def test_verdict_document_round_trips(name, monkeypatch):
+    # each recorded job's verdict reads back from the document to_dict
+    # writes, and from the recorded JSON report where there is one
+    if name == "family-incomplete":
+        v = _family_incomplete_verdict()
+        recorded = json.loads(_recorded()[name][1])
+    else:
+        verdicts, run = [], cli.run
+
+        def recording_run(job):
+            report, verdict = run(job)
+            verdicts.append(verdict)
+            return report, verdict
+
+        monkeypatch.setattr(cli, "run", recording_run)
+        _cli_output(CLI_JOBS[name])
+        monkeypatch.undo()
+        [v] = verdicts
+        recorded = None
+        if "--json" in CLI_JOBS[name]:
+            recorded = json.loads(_recorded()[name][1])["verdict"]
+    assert Verdict.from_dict(v.to_dict()) == v
+    if recorded is not None:
+        assert Verdict.from_dict(recorded) == v
 
 
 if __name__ == "__main__":
