@@ -19,7 +19,9 @@ from __future__ import annotations
 import dataclasses
 import enum
 import functools
+import itertools
 import math
+import operator
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import (
@@ -208,6 +210,24 @@ def _checked(cert: dict, value):
     return value
 
 
+def _claim(entry: dict):
+    """The value of a claim object {"value", "certainty"} from a JSON
+    document, once it is true, false or null (by identity, so 1 and 0
+    are refused) and its certainty object is the one to_dict would
+    write for it."""
+    value = entry["value"]
+    if not any(value is v for v in (True, False, None)):
+        raise ValueError(f"a claim is true, false or null, got {value!r}")
+    return _checked(entry["certainty"], value)
+
+
+def _prime_entry(entry: dict) -> tuple:
+    p = entry["p"]
+    if type(p) is not int:
+        raise ValueError(f"a p-finite entry needs an integer p, got {p!r}")
+    return p, _claim(entry)
+
+
 def _witness_from_dict(w: dict) -> Witness:
     out = Witness(w["criterion"], w["evidence"])
     if w["anchor"] != out.anchor:
@@ -286,16 +306,16 @@ class Verdict:
 
     @staticmethod
     def from_dict(d: dict) -> "Verdict":
-        """The verdict to_dict wrote d from; ValueError when a certainty
-        object or an anchor is not the one to_dict would write."""
-        rn = d["residually_nilpotent"]
+        """The verdict to_dict wrote d from; ValueError when a value has
+        the wrong type, or a certainty object or an anchor is not the one
+        to_dict would write."""
+        all_primes = d["p_finite_all_primes"]
+        if not isinstance(all_primes, bool):
+            raise ValueError(f"p_finite_all_primes is a bool, got {all_primes!r}")
         return Verdict(
-            _checked(rn["certainty"], rn["value"]),
-            bool(d["p_finite_all_primes"]),
-            tuple(
-                (e["p"], _checked(e["certainty"], e["value"]))
-                for e in d["residually_p_finite"]
-            ),
+            _claim(d["residually_nilpotent"]),
+            all_primes,
+            tuple(map(_prime_entry, d["residually_p_finite"])),
             _checked(d["lcs_certainty"], LcsLength(d["lcs_length"])),
             tuple(_witness_from_dict(w) for w in d["witnesses"]),
         )
@@ -402,6 +422,41 @@ def _partitions(k: int, parts: int, largest: Optional[int] = None):
             yield (first,) + rest
 
 
+def _deals(mu: tuple[int, ...], r: int):
+    # every way to deal the parts of mu out to r blocks, as r partitions
+    sizes = sorted(set(mu), reverse=True)
+    per_size = [
+        itertools.combinations_with_replacement(range(r), mu.count(c)) for c in sizes
+    ]
+    for choice in itertools.product(*per_size):
+        yield tuple(
+            tuple(c for c, dealt in zip(sizes, choice) for _ in range(dealt.count(j)))
+            for j in range(r)
+        )
+
+
+def _orbit_sums(mu: tuple[int, ...], t: list[int], m: int) -> list[int]:
+    # power sums p_1..p_m of P_mu, given the traces t (t[s-1] = t_s)
+    terms, symmetry, _ = _orbit_type(mu)
+    sums = []
+    for j in range(1, m + 1):
+        total = sum(c * math.prod(t[j * s - 1] for s in ss) for c, ss in terms)
+        if total % symmetry:
+            raise ArithmeticError(
+                f"orbit power sum of {mu} at j={j} is not divisible by {symmetry}"
+            )
+        sums.append(total // symmetry)
+    return sums
+
+
+def _grown(t: list[int], f: IntPoly, e: int, need: int) -> list[int]:
+    # at least `need` power sums of the roots of f^e; grown geometrically,
+    # since at rank 1 every level needs one more
+    if len(t) < need:
+        t = [e * s for s in power_sums(f, max(need, 2 * len(t)))]
+    return t
+
+
 class _GradedFactors:
     """Irreducible factors of the graded components of the action of A,
     by orbit type.  One instance lives for one classification (or one
@@ -418,39 +473,61 @@ class _GradedFactors:
     Reutenauer, Free Lie Algebras, 1993), so the irreducible factors of
     a level are those of its P_mu.  Each P_mu is factored once, and the
     tensor and Lie levels share it; P_(1) = char(A).
+
+    When char(A) = prod f_j^(e_j), which is factored first, has two or
+    more distinct factors f_j, P_mu is not formed whole.  Each eigenvalue
+    belongs to one block f_j^(e_j), so each monomial deals the parts of
+    mu out to the blocks, and P_mu is the product over the deals of the
+    pieces whose roots are the products of one local monomial per block:
+    the piece's power sums are the products of the blocks' orbit power
+    sums, from the block traces e_j * p_s(f_j).  The factors of P_mu are
+    those of its pieces.  With one distinct factor the one piece would
+    be P_mu itself, which _orbit_poly builds with less bookkeeping.
     """
 
     def __init__(self, A: IntMatrix):
         self.n = A.rows
         self.char = char_poly(A)
         self._traces: list[int] = []
+        self._blocks: Optional[tuple] = None  # (f_j, e_j), char(A) = prod f_j^e_j
+        self._block_traces: dict[IntPoly, list[int]] = {}
         self._irreducibles: dict[tuple, tuple[IntPoly, ...]] = {}
 
     def irreducibles(self, mu: tuple[int, ...]) -> tuple[IntPoly, ...]:
         """The distinct monic irreducible factors of P_mu."""
+        if self._blocks is None:
+            self._blocks = factor_over_Z(self.char).factors
         if mu not in self._irreducibles:
-            self._irreducibles[mu] = tuple(
-                g for g, _ in factor_over_Z(self._orbit_poly(mu)).factors
-            )
+            if mu == (1,):
+                found = [f for f, _ in self._blocks]
+            elif len(self._blocks) == 1:
+                found = [g for g, _ in factor_over_Z(self._orbit_poly(mu)).factors]
+            else:
+                found = {g for P in self._pieces(mu) for g, _ in factor_over_Z(P).factors}
+            self._irreducibles[mu] = tuple(sorted(found, key=IntPoly.sort_key))
         return self._irreducibles[mu]
 
     def _orbit_poly(self, mu: tuple[int, ...]) -> IntPoly:
-        terms, symmetry, _ = _orbit_type(mu)
-        degree = math.perm(self.n, len(mu)) // symmetry
-        need = degree * sum(mu)
-        if len(self._traces) < need:
-            # grow geometrically: at rank 1 every level needs one more trace
-            self._traces = power_sums(self.char, max(need, 2 * len(self._traces)))
-        t = self._traces
-        sums = []
-        for j in range(1, degree + 1):
-            total = sum(c * math.prod(t[j * s - 1] for s in ss) for c, ss in terms)
-            if total % symmetry:
-                raise ArithmeticError(
-                    f"orbit power sum of {mu} at j={j} is not divisible by {symmetry}"
-                )
-            sums.append(total // symmetry)
-        return from_power_sums(sums)
+        degree = math.perm(self.n, len(mu)) // _orbit_type(mu).symmetry
+        self._traces = _grown(self._traces, self.char, 1, degree * sum(mu))
+        return from_power_sums(_orbit_sums(mu, self._traces, degree))
+
+    def _pieces(self, mu: tuple[int, ...]):
+        # the pieces of P_mu of positive degree, one per deal of its parts
+        # to the blocks of char(A)
+        for deal in _deals(mu, len(self._blocks)):
+            parts = [(nu, block) for nu, block in zip(deal, self._blocks) if nu]
+            degree = 1
+            for nu, (f, e) in parts:
+                degree *= math.perm(e * f.degree(), len(nu)) // _orbit_type(nu).symmetry
+            if not degree:
+                continue
+            sums = [1] * degree
+            for nu, (f, e) in parts:
+                t = _grown(self._block_traces.get(f, []), f, e, degree * sum(nu))
+                self._block_traces[f] = t
+                sums = list(map(operator.mul, sums, _orbit_sums(nu, t, degree)))
+            yield from_power_sums(sums)
 
     def level(self, k: int, lie: bool) -> AfResult:
         """Factor values of the tensor level k, or with lie of L_k."""

@@ -12,22 +12,32 @@ A primitive polynomial of degree at most 2 is factored in closed form:
 a*x^2 + b*x + c splits over Z exactly when b^2 - 4ac is a perfect
 square.  Every orbit polynomial of a rank-2 action is of this kind.
 
-Higher degrees follow the classical Zassenhaus route.  A polynomial
-that is squarefree modulo one of the primes 3..13 not dividing its
-leading coefficient is squarefree over Z; only the others go through
-Yun's squarefree decomposition.  Each squarefree part gets its
-distinct-degree pattern modulo up to 4 small odd primes; the subset
-sums of each pattern bound the degrees of its true factors, and once
-their intersection is {0, deg} the part is irreducible (Musser's
+A monic polynomial of degree >= 3 with constant term +-1 goes through a
+unit front, _factor_unit.  Every polynomial the classifier factors has
+this shape, since its roots are products of eigenvalues of a
+unimodular matrix.  Its only possible integer roots are 1 and -1, which
+linear_root_profile splits off.  The rest has no linear factor, so it
+is irreducible at degree 2 or 3, and at degree 4 it splits only into two
+monic quadratics with constant terms +-1, found in closed form from
+its coefficients.  From degree 5 it takes the Zassenhaus route.
+
+Other polynomials of higher degree follow the classical Zassenhaus
+route.  A polynomial that is squarefree modulo one of the primes 3..13
+not dividing its leading coefficient is squarefree over Z; only the
+others go through Yun's squarefree decomposition.  Each squarefree part
+gets its distinct-degree pattern modulo up to 4 small odd primes; the
+subset sums of each pattern bound the degrees of its true factors, and
+once their intersection is {0, deg} the part is irreducible (Musser's
 degree-set test).  Otherwise equal-degree splitting runs at the first
 prime with the fewest modular factors only, the factors are Hensel-lifted
 to a bound large enough to recover true factor coefficients, and subset
 recombination tries only subsets whose degree is in the intersection.
 This keeps the package dependency free and is fast at the degree range
 used here: the classifier factors char(A) and, for its graded audits,
-one orbit polynomial P_mu per partition mu of k
-(criteria._GradedFactors), of degree n!/((n-len(mu))! prod m_i!),
-never a characteristic polynomial of degree n^k.
+one orbit polynomial P_mu per partition mu of k, or its pieces from
+the factors of char(A) (criteria._GradedFactors), of degree at most
+n!/((n-len(mu))! prod m_i!), never a characteristic polynomial of
+degree n^k.
 """
 
 from __future__ import annotations
@@ -673,9 +683,51 @@ def _factor_zassenhaus(f: IntPoly) -> list[tuple[IntPoly, int]]:
     return list(counts.items())
 
 
+def _factor_quartic(f: IntPoly) -> list[tuple[IntPoly, int]]:
+    # f = x^4 + c3 x^3 + c2 x^2 + c1 x + c0 monic, c0 = +-1, no integer
+    # root: reducible only as (x^2 + ax + b)(x^2 + cx + d) with bd = c0,
+    # b, d in {1, -1}; each such quadratic is irreducible, since its
+    # integer roots could only be +-1
+    c0, c1, c2, c3, _ = f.coeffs
+    if c0 == -1:
+        # (b, d) = (1, -1): a + c = c3, c - a = c1, ac = c2
+        a, c = (c3 - c1) // 2, (c3 + c1) // 2
+        if (c3 + c1) % 2 == 0 and a * c == c2:
+            return [(IntPoly((1, a, 1)), 1), (IntPoly((-1, c, 1)), 1)]
+        return [(f, 1)]
+    # b = d: a + c = c3, ac = c2 - 2b, c1 = b*c3, so a and c are the roots
+    # (c3 -+ s)/2 of t^2 - c3 t + c2 - 2b, s^2 its discriminant
+    for b in (1, -1):
+        disc = c3 * c3 - 4 * (c2 - 2 * b)
+        s = math.isqrt(max(disc, 0))
+        if c1 != b * c3 or s * s != disc:
+            continue
+        a, c = (c3 - s) // 2, (c3 + s) // 2
+        if a == c:
+            return [(IntPoly((b, a, 1)), 2)]
+        return [(IntPoly((b, a, 1)), 1), (IntPoly((b, c, 1)), 1)]
+    return [(f, 1)]
+
+
+def _factor_unit(f: IntPoly) -> list[tuple[IntPoly, int]]:
+    # f monic of degree >= 3 with f(0) = +-1: once the roots 1 and -1 are
+    # split off, what is left has no linear factor
+    m1, m2, g = linear_root_profile(f)
+    pairs = [(IntPoly((-r, 1)), m) for r, m in ((1, m1), (-1, m2)) if m]
+    d = g.degree()
+    if d > 4:
+        pairs += _factor_zassenhaus(g)
+    elif d == 4:
+        pairs += _factor_quartic(g)
+    elif d > 0:
+        pairs.append((g, 1))
+    return pairs
+
+
 def factor_over_Z(p: IntPoly) -> FactorizationZ:
     """Complete factorization in Z[x]: a primitive part of degree <= 2
-    in closed form, a higher one via the Zassenhaus method.
+    in closed form; a monic one of degree >= 3 with constant term +-1
+    through _factor_unit; any other via the Zassenhaus method.
 
     Raises ZeroPolynomial on zero input.  The reassembled product
     (unit * content * prod factor^mult) equals p coefficient for
@@ -688,6 +740,8 @@ def factor_over_Z(p: IntPoly) -> FactorizationZ:
         return FactorizationZ(unit, content, ())
     if f.degree() <= 2:
         pairs = _factor_quadratic(f)
+    elif f.is_monic() and abs(f.constant()) == 1:
+        pairs = _factor_unit(f)
     else:
         pairs = _factor_zassenhaus(f)
     factors = tuple(sorted(pairs, key=lambda fm: fm[0].sort_key()))

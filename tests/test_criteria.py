@@ -67,6 +67,25 @@ def companion2(det, tr):
     return M([[0, -det], [1, tr]])
 
 
+def _block_triangular(rng, n):
+    """A random unimodular n x n matrix, block upper triangular with
+    random unimodular diagonal blocks of random sizes."""
+    rows = [[0] * n for _ in range(n)]
+    start = 0
+    while start < n:
+        size = rng.randint(1, n - start)
+        if size == 1:
+            block = M([[rng.choice([1, -1])]])
+        else:
+            block = random_unimodular(rng, size, steps=rng.randint(2, 8))
+        for i in range(size):
+            rows[start + i][start : start + size] = block.row(i)
+            for j in range(start + size, n):
+                rows[start + i][j] = rng.randint(-2, 2)
+        start += size
+    return M(rows)
+
+
 def radical(m):
     m = abs(m)
     out = []
@@ -191,6 +210,20 @@ class TestVerdictInvariants:
         _refused(u, ["lcs_certainty", "kind"], "proven")
         # a known series length under an unknown certainty
         _refused(v, ["lcs_certainty", "kind"], "unknown")
+
+    def test_value_types_checked(self):
+        # a claim that is not true, false or null (its certainty works out
+        # as proven), a p that is not an int, an all-primes flag that is
+        # not a bool
+        v = _decided()
+        assert v.residually_p_finite[1] == (3, True)
+        for value in (1, 0, "yes"):
+            _refused(v, ["residually_nilpotent", "value"], value)
+            _refused(v, ["residually_p_finite", 1, "value"], value)
+        for p in ("3", 3.0, True):
+            _refused(v, ["residually_p_finite", 1, "p"], p)
+        for flag in (0, 1, "false", None):
+            _refused(v, ["p_finite_all_primes"], flag)
 
     def test_proven_p_finiteness_forces_proven_nilpotence(self):
         with pytest.raises(ValueError):
@@ -920,6 +953,41 @@ class TestOrbitTypes:
         # (1), (2), (1,1), (3), (2,1), (1,1,1)
         assert len(calls["factor_over_Z"]) == 6
         assert calls["factor_over_Z"][0] == char_poly(A)
+
+    def test_pieces_give_the_factors_of_the_whole(self):
+        # block-triangular unimodular A: char(A) has several distinct
+        # factors, often repeated; the factors of the pieces of P_mu from
+        # those blocks are the factors of P_mu itself
+        rng = random.Random(6151)
+
+        def check():
+            split = 0
+            for _ in range(120):
+                A = _block_triangular(rng, rng.randint(2, 5))
+                graded = _GradedFactors(A)
+                split += len(factor_over_Z(graded.char).factors) > 1
+                for k in (1, 2, 3):
+                    for mu in _partitions(k, A.rows):
+                        whole = factor_over_Z(graded._orbit_poly(mu)).factors
+                        assert graded.irreducibles(mu) == tuple(g for g, _ in whole)
+            assert split > 60
+
+        with_alarm(60, check)
+
+    def test_pieces_stay_small(self, monkeypatch):
+        # x^4 - 2x + 1 = (x - 1)(x^3 + x^2 + x - 1): P_(2,1), of degree 12,
+        # is factored as pieces of degree 6, 3 and 3
+        degrees = []
+
+        def recording(P):
+            degrees.append(P.degree())
+            return factor_over_Z(P)
+
+        monkeypatch.setattr(criteria, "factor_over_Z", recording)
+        A = M([[0, 0, 0, -1], [1, 0, 0, 2], [0, 1, 0, 0], [0, 0, 1, 0]])
+        assert char_poly(A) == IntPoly([1, -2, 0, 0, 1])
+        with_alarm(10, lambda: classify_general(A, tensor_bound=3))
+        assert degrees and max(degrees) == 6
 
     def test_trace_list_grows_geometrically(self, monkeypatch):
         calls = []

@@ -353,8 +353,19 @@ class TestModularShortcuts:
         for cs in ([1, 0, -10, 0, 1], [1, 0, 0, 0, 1]):
             before = len(lifts)
             f = IntPoly(cs)
-            assert factor_over_Z(f).factors == ((f, 1),)
+            assert intpoly._factor_monic_squarefree(f) == [f]
             assert len(lifts) > before
+
+    def test_unit_quartics_irreducible_without_lifting(self, monkeypatch):
+        # the same two quartics, monic with constant term 1: the closed
+        # form proves them whole
+        def refuse(*args):
+            raise AssertionError("lifted a quartic the closed form settles")
+
+        monkeypatch.setattr(intpoly, "_hensel_tree", refuse)
+        for cs in ([1, 0, -10, 0, 1], [1, 0, 0, 0, 1]):
+            f = IntPoly(cs)
+            assert factor_over_Z(f).factors == ((f, 1),)
 
     def test_squarefree_mod_p_skips_yun(self, monkeypatch):
         def refuse(f):
@@ -363,6 +374,9 @@ class TestModularShortcuts:
         monkeypatch.setattr(intpoly, "squarefree_decomposition", refuse)
         f = IntPoly([1, -5, 0, 1])
         assert factor_over_Z(f * 6).factors == ((f, 1),)
+        # factor_over_Z settles this monic cubic with f(0) = 1 in closed
+        # form; the Zassenhaus route must still skip Yun on it
+        assert intpoly._factor_zassenhaus(f) == [(f, 1)]
 
     def test_not_squarefree_mod_small_primes_reaches_yun(self, monkeypatch):
         # (x - 1)(x - 1 - 15015)(x^3 - x - 1), 15015 = 3*5*7*11*13: a
@@ -401,6 +415,71 @@ class TestModularShortcuts:
         for cs in ([1, -2, 1], [1, 0, 2, 0, 1]):
             with pytest.raises(ArithmeticError):
                 with_alarm(5, lambda: intpoly._factor_monic_squarefree(IntPoly(cs)))
+
+
+def rand_unit_products(seed, count):
+    # products of random monic factors of degree 1-5 with constant term
+    # +-1, exponents 1-3, total degree 3-12: the shape of the classifier's
+    # orbit polynomials
+    rng = random.Random(seed)
+    while count:
+        f = IntPoly((1,))
+        while True:
+            d, e = rng.randint(1, 5), rng.randint(1, 3)
+            if f.degree() + d * e > 12:
+                break
+            mid = [rng.randint(-4, 4) for _ in range(d - 1)]
+            f = f * IntPoly([rng.choice([1, -1])] + mid + [1]) ** e
+        if f.degree() >= 3:
+            count -= 1
+            yield f
+
+
+class TestUnitFront:
+    """factor_over_Z on monic polynomials of degree >= 3 with constant
+    term +-1: roots 1 and -1 split off, closed forms to degree 4."""
+
+    PINNED = [
+        IntPoly([1, 1, 1]) ** 2,
+        IntPoly([1, 0, 1]) ** 2,
+        IntPoly([1, 0, -10, 0, 1]),
+        IntPoly([1, 0, 0, 0, 1]),
+        IntPoly([-1, 1]) ** 3 * IntPoly([1, 1]) ** 2,
+    ]
+
+    def test_matches_zassenhaus_and_sympy(self):
+        try:
+            import sympy
+        except ImportError:
+            sympy = None
+
+        def check():
+            for f in itertools.chain(self.PINNED, rand_unit_products(211, 400)):
+                ours = factor_over_Z(f)
+                old = sorted(intpoly._factor_zassenhaus(f), key=lambda fm: fm[0].sort_key())
+                assert list(ours.factors) == old, f
+                if sympy is not None:
+                    assert str(ours) == sympy_factorization(sympy, f), f
+
+        with_alarm(60, check)
+
+    def test_pinned_factorizations(self):
+        expect = [
+            ((IntPoly([1, 1, 1]), 2),),
+            ((IntPoly([1, 0, 1]), 2),),
+            ((self.PINNED[2], 1),),
+            ((self.PINNED[3], 1),),
+            ((IntPoly([-1, 1]), 3), (IntPoly([1, 1]), 2)),
+        ]
+        for f, factors in zip(self.PINNED, expect):
+            assert factor_over_Z(f).factors == factors
+
+    def test_split_quartics(self):
+        # both closed-form cases: b = d = +-1, and (b, d) = (1, -1)
+        for b, d in ((1, 1), (-1, -1), (1, -1)):
+            for a, c in ((1, 3), (-3, 5), (4, -1)):
+                g, h = IntPoly([b, a, 1]), IntPoly([d, c, 1])
+                assert set(factor_over_Z(g * h).factors) == {(g, 1), (h, 1)}
 
 
 def sympy_factorization(sympy, f):
@@ -562,7 +641,9 @@ class TestCore:
         steps = [
             lambda: IntPoly([-1, 1]) * IntPoly([1, 1]),
             lambda: FactorizationZ(1, 2, ((IntPoly([-1, 1]), 2),)).expand(),
-            lambda: factor_over_Z(f),
+            # f is monic with f(0) = 1, which factor_over_Z settles in
+            # closed form; the modular route is taken directly
+            lambda: intpoly._factor_monic_squarefree(f),
         ]
         for step in steps:
             before = len(calls)
