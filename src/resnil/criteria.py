@@ -33,7 +33,14 @@ from .errors import (
     NotUnimodular,
     SizeCapExceeded,
 )
-from .intpoly import IntPoly, factor_over_Z, from_power_sums, power_sums
+from .intpoly import (
+    IntPoly,
+    factor_over_Z,
+    from_power_sums,
+    has_symmetric_galois_group,
+    power_sums,
+    squarefree_mod_small_prime,
+)
 from .freegroup import FreeEndo, abelianization_matrix
 from .liealg import (
     DEFAULT_WITT_CAP,
@@ -483,6 +490,15 @@ class _GradedFactors:
     sums, from the block traces e_j * p_s(f_j).  The factors of P_mu are
     those of its pieces.  With one distinct factor the one piece would
     be P_mu itself, which _orbit_poly builds with less bookkeeping.
+
+    When char(A) is irreducible and has_symmetric_galois_group certifies
+    its Galois group as S_n (Dedekind's theorem on the factor patterns
+    of char(A) mod small primes and Jordan's theorem on primitive groups
+    with a transposition), the group permutes the monomials of every
+    P_mu transitively, so P_mu = g^e for one irreducible g.  A P_mu of
+    degree above 4 that is squarefree mod one of 3..13 then has e = 1
+    and is its own one factor, with nothing to factor.  Every other P_mu,
+    and every P_mu of an uncertified action, is factored as above.
     """
 
     def __init__(self, A: IntMatrix):
@@ -500,12 +516,22 @@ class _GradedFactors:
         if mu not in self._irreducibles:
             if mu == (1,):
                 found = [f for f, _ in self._blocks]
-            elif len(self._blocks) == 1:
-                found = [g for g, _ in factor_over_Z(self._orbit_poly(mu)).factors]
-            else:
+            elif len(self._blocks) > 1:
                 found = {g for P in self._pieces(mu) for g, _ in factor_over_Z(P).factors}
+            else:
+                P = self._orbit_poly(mu)
+                if P.degree() > 4 and self._symmetric_galois and squarefree_mod_small_prime(P):
+                    found = [P]
+                else:
+                    found = [g for g, _ in factor_over_Z(P).factors]
             self._irreducibles[mu] = tuple(sorted(found, key=IntPoly.sort_key))
         return self._irreducibles[mu]
+
+    @functools.cached_property
+    def _symmetric_galois(self) -> bool:
+        # char(A) irreducible with Galois group S_n; read after _blocks is set
+        (f, e), *rest = self._blocks
+        return not rest and e == 1 and has_symmetric_galois_group(f)
 
     def _orbit_poly(self, mu: tuple[int, ...]) -> IntPoly:
         degree = math.perm(self.n, len(mu)) // _orbit_type(mu).symmetry

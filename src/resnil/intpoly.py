@@ -38,6 +38,18 @@ one orbit polynomial P_mu per partition mu of k, or its pieces from
 the factors of char(A) (criteria._GradedFactors), of degree at most
 n!/((n-len(mu))! prod m_i!), never a characteristic polynomial of
 degree n^k.
+
+has_symmetric_galois_group certifies that the Galois group of a monic
+irreducible f of degree n >= 3 is S_n from the factor patterns of f
+modulo the first 4n odd primes at which f stays squarefree: by
+Dedekind's theorem each pattern is the cycle type of a Frobenius
+element, a pattern 1 + (n - 1) makes the group primitive, a pattern
+with one part 2 and every other part odd gives a transposition, and a
+primitive group containing a transposition is S_n (Jordan).  Without
+both patterns it returns False and the caller factors as before.  The
+orbit polynomials of a certified char(A) are powers of one irreducible,
+so criteria only checks them for squarefreeness
+(squarefree_mod_small_prime) and does not factor them.
 """
 
 from __future__ import annotations
@@ -59,6 +71,8 @@ __all__ = [
     "poly_gcd",
     "squarefree_decomposition",
     "factor_over_Z",
+    "squarefree_mod_small_prime",
+    "has_symmetric_galois_group",
     "linear_root_profile",
     "power_sums",
     "from_power_sums",
@@ -490,6 +504,13 @@ def _squarefree_mod_p(f: IntPoly, p: int) -> bool:
     return len(_pgcd(f.coeffs, df, p)) == 1
 
 
+def squarefree_mod_small_prime(f: IntPoly) -> bool:
+    """True when f is squarefree modulo one of the primes 3..13 that do
+    not divide its leading coefficient, which proves f squarefree over
+    Z; False decides nothing."""
+    return any(_squarefree_mod_p(f, q) for q in (3, 5, 7, 11, 13))
+
+
 def _degree_set(parts: list[tuple[list[int], int]]) -> int:
     # bit e set iff some product of the modular factors has degree e
     mask = 1
@@ -558,6 +579,23 @@ def _symmetric(c: int, m: int) -> int:
     return c - m if c > m // 2 else c
 
 
+def _squarefree_primes(h: IntPoly):
+    # the odd primes p at which the monic h stays squarefree, in order;
+    # ArithmeticError once the skipped ones prove h is not squarefree
+    deg = h.degree()
+    norm = math.isqrt(sum(c * c for c in h.coeffs)) + 1
+    rejected = 1
+    for p in filter(is_prime, itertools.count(3, 2)):
+        if _squarefree_mod_p(h, p):
+            yield p
+            continue
+        # p divides disc(h), and |disc h| <= deg^deg * norm^(2 deg - 1)
+        # (Hadamard on the Sylvester matrix of h and h')
+        rejected *= p
+        if rejected > deg**deg * norm ** (2 * deg - 1):
+            raise ArithmeticError(f"{h} is not squarefree")
+
+
 def _factor_monic_squarefree(h: IntPoly) -> list[IntPoly]:
     deg = h.degree()
     if deg <= 1:
@@ -572,15 +610,7 @@ def _factor_monic_squarefree(h: IntPoly) -> list[IntPoly]:
     mask = (1 << (deg + 1)) - 1
     norm = math.isqrt(sum(c * c for c in h.coeffs)) + 1
     tried = []
-    rejected = 1
-    for p in filter(is_prime, itertools.count(3, 2)):
-        if not _squarefree_mod_p(h, p):
-            # p divides disc(h), and |disc h| <= deg^deg * norm^(2 deg - 1)
-            # (Hadamard on the Sylvester matrix of h and h')
-            rejected *= p
-            if rejected > deg**deg * norm ** (2 * deg - 1):
-                raise ArithmeticError(f"{h} is not squarefree")
-            continue
+    for p in _squarefree_primes(h):
         parts = _distinct_degree([c % p for c in h.coeffs], p)
         mask &= _degree_set(parts)
         if mask == whole:
@@ -665,7 +695,7 @@ def _factor_zassenhaus(f: IntPoly) -> list[tuple[IntPoly, int]]:
     # f primitive with positive leading coefficient.  f squarefree mod a
     # prime not dividing lc(f) is squarefree over Z, which spares Yun's
     # pseudo-remainder gcds in the common case
-    if any(_squarefree_mod_p(f, q) for q in (3, 5, 7, 11, 13)):
+    if squarefree_mod_small_prime(f):
         parts = [(f, 1)]
     else:
         parts = squarefree_decomposition(f)
@@ -748,6 +778,41 @@ def factor_over_Z(p: IntPoly) -> FactorizationZ:
     result = FactorizationZ(unit, content, factors)
     assert result.expand() == p, "factorization reassembly failed"
     return result
+
+
+def has_symmetric_galois_group(f: IntPoly) -> bool:
+    """True when the factor patterns of f modulo small primes prove that
+    the Galois group G of f is the full symmetric group S_n.
+
+    f must be monic and irreducible over Z, of degree n >= 3, so that G
+    is transitive on its roots.  At a prime p that does not divide
+    disc f, the degrees of the irreducible factors of f mod p are the
+    cycle lengths of a Frobenius element of G (Dedekind; van der
+    Waerden, Algebra I, section 66).  A pattern 1 + (n - 1) fixes one
+    root and is transitive on the others, so G is 2-transitive and hence
+    primitive; a pattern with exactly one part 2 and every other part odd
+    has a transposition among its powers.  A primitive group that
+    contains a transposition is S_n (Jordan; Wielandt, Finite Permutation
+    Groups, 1964, Thm 13.3).  The first 4n odd primes at which f stays
+    squarefree are scanned; False means that they gave no certificate,
+    not that G is smaller.  Raises ValueError unless f is monic of
+    degree at least 3.
+    """
+    n = f.degree()
+    if n < 3 or not f.is_monic():
+        raise ValueError(f"need a monic polynomial of degree >= 3, got {f}")
+    primitive = transposition = False
+    for p in itertools.islice(_squarefree_primes(f), 4 * n):
+        pattern = sorted(
+            d
+            for g, d in _distinct_degree([c % p for c in f.coeffs], p)
+            for _ in range((len(g) - 1) // d)
+        )
+        primitive |= pattern == [1, n - 1]
+        transposition |= pattern.count(2) == 1 and all(d % 2 for d in pattern if d != 2)
+        if primitive and transposition:
+            return True
+    return False
 
 
 def linear_root_profile(p: IntPoly) -> tuple[int, int, IntPoly]:

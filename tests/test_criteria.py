@@ -1,6 +1,7 @@
 """Decision procedure tests: residual nilpotence and p-finiteness."""
 
 import dataclasses
+import hashlib
 import math
 import random
 
@@ -41,7 +42,14 @@ from resnil.errors import (
 )
 from resnil.freegroup import FreeEndo
 from resnil.primes import MR_EXACT_BOUND, prime_divisors
-from resnil.intpoly import IntPoly, factor_over_Z, from_power_sums, power_sums
+from resnil.cli import main
+from resnil.intpoly import (
+    IntPoly,
+    factor_over_Z,
+    from_power_sums,
+    has_symmetric_galois_group,
+    power_sums,
+)
 from resnil.liealg import (
     induced_lie_matrix,
     lie_power_sums,
@@ -876,6 +884,18 @@ def _power_sum_path(A, K):
     return out
 
 
+def _factor_sets_agree(graded, K):
+    # irreducibles(mu) is the factor set of P_mu for every mu of k <= K;
+    # returns the number of mu that took the certified route
+    certified = 0
+    for k in range(1, K + 1):
+        for mu in _partitions(k, graded.n):
+            P = graded._orbit_poly(mu)
+            assert graded.irreducibles(mu) == tuple(g for g, _ in factor_over_Z(P).factors)
+            certified += P.degree() > 4 and graded._symmetric_galois
+    return certified
+
+
 class TestOrbitTypes:
     """The graded levels from one orbit polynomial P_mu per partition
     mu of k, shared by the tensor and Lie audits."""
@@ -944,15 +964,30 @@ class TestOrbitTypes:
             calls["factor_over_Z"].append(P)
             return factor_over_Z(P)
 
+        built = []
+        orbit_poly = _GradedFactors._orbit_poly
+
+        def recording_orbit_poly(graded, mu):
+            built.append(mu)
+            return orbit_poly(graded, mu)
+
         monkeypatch.setattr(criteria, "char_poly", counting_char_poly)
         monkeypatch.setattr(criteria, "factor_over_Z", counting_factor)
+        monkeypatch.setattr(_GradedFactors, "_orbit_poly", recording_orbit_poly)
         # x^3 - 5x + 1: not a fiber action, so every stage runs
         A = M([[0, 0, -1], [1, 0, 5], [0, 1, 0]])
         classify_general(A, tensor_bound=3)
         assert calls["char_poly"] == 1
-        # (1), (2), (1,1), (3), (2,1), (1,1,1)
-        assert len(calls["factor_over_Z"]) == 6
-        assert calls["factor_over_Z"][0] == char_poly(A)
+        assert built == [(2,), (1, 1), (3,), (2, 1), (1, 1, 1)]
+        # char(A) first, then every P_mu but P_(2,1): of degree 6, it is
+        # one irreducible, since the Galois group of x^3 - 5x + 1 is S_3
+        graded = _GradedFactors(A)
+        skipped = orbit_poly(graded, (2, 1))
+        assert calls["factor_over_Z"] == [char_poly(A)] + [
+            orbit_poly(graded, mu) for mu in built if mu != (2, 1)
+        ]
+        assert graded.irreducibles((2, 1)) == (skipped,)
+        assert factor_over_Z(skipped).factors == ((skipped, 1),)
 
     def test_pieces_give_the_factors_of_the_whole(self):
         # block-triangular unimodular A: char(A) has several distinct
@@ -966,10 +1001,7 @@ class TestOrbitTypes:
                 A = _block_triangular(rng, rng.randint(2, 5))
                 graded = _GradedFactors(A)
                 split += len(factor_over_Z(graded.char).factors) > 1
-                for k in (1, 2, 3):
-                    for mu in _partitions(k, A.rows):
-                        whole = factor_over_Z(graded._orbit_poly(mu)).factors
-                        assert graded.irreducibles(mu) == tuple(g for g, _ in whole)
+                _factor_sets_agree(graded, 3)
             assert split > 60
 
         with_alarm(60, check)
@@ -1050,6 +1082,89 @@ class TestOrbitTypes:
             lie_component_audit(A, 2, witt_cap=None)
         with pytest.raises(TypeError):
             tensor_power_audit(A, 2, side_cap=None)
+
+
+def companion(f):
+    """The companion matrix of the monic polynomial f, so char(A) = f."""
+    n = f.degree()
+    return M([[int(i == j + 1) for j in range(n - 1)] + [-f.coeffs[i]] for i in range(n)])
+
+
+class TestSymmetricGalois:
+    """When the Galois group of an irreducible char(A) is S_n, every P_mu
+    is a power of one irreducible, so a P_mu that is squarefree is not
+    factored."""
+
+    def test_certified_route_matches_factoring(self):
+        rng = random.Random(6271)
+
+        def check():
+            certified = cases = 0
+            while cases < 24:
+                n = 3 + cases % 5
+                f = IntPoly(
+                    [rng.choice([1, -1])] + [rng.randint(-3, 3) for _ in range(n - 1)] + [1]
+                )
+                if factor_over_Z(f).factors != ((f, 1),):
+                    continue
+                cases += 1
+                # at rank 7 the reference factoring of P_(2,1,1), of degree
+                # 105, can take half a minute, so rank 7 stops at k = 3
+                certified += _factor_sets_agree(_GradedFactors(companion(f)), 4 if n < 7 else 3)
+            assert certified > 0
+
+        with_alarm(60, check)
+
+    @pytest.mark.parametrize(
+        "coeffs,group",
+        [([-1, -3, 0, 1], "C3"), ([1, 1, 1, 1, 1], "C4"), ([-1, 0, -1, 0, 1], "D4")],
+    )
+    def test_smaller_groups_are_factored(self, coeffs, group):
+        f = IntPoly(coeffs)
+        graded = _GradedFactors(companion(f))
+
+        def check():
+            assert not has_symmetric_galois_group(f)
+            assert _factor_sets_agree(graded, 4) == 0
+
+        with_alarm(10, check)
+        if group == "C3":
+            # the six roots a_i^2 a_j fall into two Galois orbits
+            assert [g.degree() for g in graded.irreducibles((2, 1))] == [3, 3]
+
+    @pytest.mark.parametrize("coeffs", [[1, -5, 0, 0, 1], [1, -1, 1, 1]])
+    def test_symmetric_groups_are_certified(self, coeffs):
+        assert with_alarm(5, lambda: has_symmetric_galois_group(IntPoly(coeffs)))
+
+    def test_certificate_needs_degree_three(self):
+        for coeffs in ([1, 1, 1], [1, 1, 0, 2]):
+            with pytest.raises(ValueError):
+                has_symmetric_galois_group(IntPoly(coeffs))
+
+    @staticmethod
+    def _rank_wall(n, argv, capsys):
+        # the companion of x^n - 5x + 1, whose Galois group is S_n
+        A = companion(IntPoly([1, -5] + [0] * (n - 2) + [1]))
+        code = main(["--matrix", str(A.to_rows()).replace(" ", "")] + argv)
+        return code, capsys.readouterr().out
+
+    def test_rank_thirteen_ends(self, monkeypatch, capsys):
+        # factored, P_(1,1,1), of degree 286, ran past 60 s in
+        # recombination
+        degrees = []
+        monkeypatch.setattr(criteria, "factor_over_Z",
+                            lambda P: degrees.append(P.degree()) or factor_over_Z(P))
+        code, _ = with_alarm(5, lambda: self._rank_wall(13, ["--cap", "100000"], capsys))
+        assert code == 0
+        assert max(degrees) <= 13
+
+    def test_rank_twelve_report_unchanged(self, capsys):
+        # sha256 of the report as the factoring route printed it, in 6 s
+        code, out = with_alarm(5, lambda: self._rank_wall(12, ["--cap", "100000"], capsys))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "3dd579b1f8bb9c57cb3822eb9ed3723dba1ac0d3ce8b1d3b8c84b538d91f043c"
+        )
 
 
 class TestPrimeExtraction:
