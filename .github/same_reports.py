@@ -5,12 +5,21 @@
 SRC is a directory that holds the ``resnil`` package (``src`` of a
 checkout).  The jobs come from this checkout's ``perfbench/workloads.py``:
 each job of the three workloads at seeds 1, 2, 7 and 41 runs in-process
-through ``resnil.cli.main``, as ``perfbench/run.py`` runs it.  So do the
-companions of x^n - 5x + 1 for n = 5..11 at the default caps and n = 12
-with ``--cap 100000``: their Galois group is S_n and their orbit
-polynomials are the largest the audits meet (degree up to 220).  Prints
-a JSON map from job id to the sha256 of (exit code, stdout, stderr).  Two
-trees that print the same map give every job the same bytes.
+through ``resnil.cli.main``, as ``perfbench/run.py`` runs it.  So do:
+
+- the companions of x^n - 5x + 1 for n = 5..11 at the default caps and
+  n = 12 with ``--cap 100000``: their Galois group is S_n and their
+  orbit polynomials are the largest the audits meet (degree up to 220);
+- ``--help`` and ``--list-examples``;
+- seeded block upper triangular actions of rank 4..7 whose diagonal
+  blocks are +-1 entries and companions of unit cubics and quartics, at
+  K = 3 and 4 with ``--cap 100000``: the sign rule, the combined pieces
+  and the per-block Galois certificate of the orbit factor sets;
+- rank-2 actions at K = 8..10, where duality gives most levels.
+
+Prints a JSON map from job id to the sha256 of (exit code, stdout,
+stderr).  Two trees that print the same map give every job the same
+bytes.
 """
 
 from __future__ import annotations
@@ -19,6 +28,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import sys
 
 SEEDS = (1, 2, 7, 41)
@@ -49,6 +59,59 @@ def rank_wall():
         yield n, argv + (["--cap", "100000"] if n == 12 else [])
 
 
+# x^3 - 5x + 1 (S_3), x^3 - 3x - 1 (A_3), x^3 + x^2 - x + 1,
+# x^3 - x^2 - x - 1, x^4 - 5x + 1 (S_4), x^4 + x^3 + x^2 + x + 1 (C_4),
+# x^4 - x^2 - 1 (D_4) and x^4 - 2x + 1 = (x - 1)(x^3 + x^2 + x - 1), as
+# [c_0, ..., c_(n-1)] of the monic x^n + ... + c_0
+UNIT_BLOCKS = (
+    [1, -5, 0], [-1, -3, 0], [1, -1, 1], [-1, -1, -1],
+    [1, -5, 0, 0], [1, 1, 1, 1], [-1, 0, -1, 0], [1, -2, 0, 0],
+)
+RANK_TWO = (
+    [[2, 1], [1, 1]], [[0, 1], [1, 3]], [[0, -1], [1, -3]], [[3, 1], [2, 1]],
+    [[1, 1], [1, 0]], [[0, -1], [-1, 0]], [[1, 1], [0, 1]], [[-1, 1], [0, -1]],
+)
+
+
+def block_actions():
+    # (name, argv): 24 seeded block upper triangular actions of rank 4..7
+    rng = random.Random(19)
+    for i in range(24):
+        n = 4 + i % 4
+        blocks = []
+        while sum(map(len, blocks)) < n:
+            room = n - sum(map(len, blocks))
+            fits = [c for c in UNIT_BLOCKS if len(c) <= room]
+            if fits and rng.random() < 0.6:
+                c = rng.choice(fits)
+                blocks.append([[int(r == s + 1) for s in range(len(c) - 1)] + [-c[r]]
+                               for r in range(len(c))])
+            else:
+                blocks += [[[rng.choice((1, -1))]]] * min(rng.randint(1, 3), room)
+        rows = [[0] * n for _ in range(n)]
+        start = 0
+        for b in blocks:
+            for r, row in enumerate(b):
+                rows[start + r][start:] = row + [rng.randint(-2, 2)
+                                                 for _ in range(n - start - len(b))]
+            start += len(b)
+        argv = ["--matrix", json.dumps(rows).replace(" ", ""), "--cap", "100000"]
+        yield f"blocks/{i}", argv + ["--tensor-bound", str(3 + i % 2)]
+
+
+def extra_jobs():
+    # (name, argv) of the jobs beyond the benchmark's
+    for n, argv in rank_wall():
+        yield f"rank_wall/{n}", argv
+    yield "help", ["--help"]
+    yield "list_examples", ["--list-examples"]
+    yield from block_actions()
+    for i, A in enumerate(RANK_TWO):
+        for K in (8, 9, 10):
+            yield f"rank_two/{i}/{K}", ["--matrix", json.dumps(A).replace(" ", ""),
+                                        "--tensor-bound", str(K)]
+
+
 def main(src: str) -> dict:
     sys.path[:0] = [os.path.abspath(src), os.path.join(ROOT, "perfbench")]
     import workloads
@@ -60,8 +123,8 @@ def main(src: str) -> dict:
         for seed in SEEDS
         for i, job in enumerate(make(seed))
     }
-    for n, argv in rank_wall():
-        out[f"rank_wall/{n}"] = fingerprint(cli, argv, "")
+    for name, argv in extra_jobs():
+        out[name] = fingerprint(cli, argv, "")
     return out
 
 

@@ -14,7 +14,9 @@ from __future__ import annotations
 import argparse
 import ast
 import dataclasses
+import functools
 import json
+import shutil
 import sys
 from typing import Optional
 
@@ -444,8 +446,11 @@ def run(job: JobSpec) -> tuple[str, Verdict]:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # the width argparse would look up once per option, looked up once
+    width = shutil.get_terminal_size().columns - 2
     p = argparse.ArgumentParser(
         prog="resnil",
+        formatter_class=functools.partial(argparse.HelpFormatter, width=width),
         description=(
             "Decide residual nilpotence and residual p-finiteness of a "
             "free-by-cyclic or abelian-by-cyclic group from its "

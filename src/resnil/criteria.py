@@ -464,6 +464,27 @@ def _grown(t: list[int], f: IntPoly, e: int, need: int) -> list[int]:
     return t
 
 
+def _dual(mu: tuple[int, ...], n: int) -> tuple[int, ...]:
+    # mu padded to n parts, each part taken from t = mu_1, zeros dropped:
+    # a^mu = det^t / a^dual over the same index tuple
+    t = mu[0]
+    return (t,) * (n - len(mu)) + tuple(t - c for c in reversed(mu) if c != t)
+
+
+def _moved(g: IntPoly, s: int, inverted: bool = False) -> IntPoly:
+    # the monic polynomial whose roots are s * b, or s / b when inverted,
+    # over the roots b of the monic g; s = +-1, and g(0) = +-1 when inverted
+    cs = g.coeffs
+    if inverted:
+        cs = [c * cs[0] for c in reversed(cs)]
+    elif s == 1:
+        return g
+    if s == -1:
+        d = len(cs) - 1
+        cs = [-c if (d - i) % 2 else c for i, c in enumerate(cs)]
+    return IntPoly(cs)
+
+
 class _GradedFactors:
     """Irreducible factors of the graded components of the action of A,
     by orbit type.  One instance lives for one classification (or one
@@ -478,82 +499,134 @@ class _GradedFactors:
     char(A^{(x)k}) = prod over mu of P_mu^(k! / prod mu_r!) and
     char(A | L_k) = prod over mu of P_mu^lyndon_count(mu) (Witt; see
     Reutenauer, Free Lie Algebras, 1993), so the irreducible factors of
-    a level are those of its P_mu.  Each P_mu is factored once, and the
-    tensor and Lie levels share it; P_(1) = char(A).
+    a level are those of its P_mu; P_(1) = char(A).  irreducibles(mu)
+    takes them from what A fixes and factors only the rest.  It needs
+    det A = +-1; _orbit_poly, which builds P_mu whole from the traces
+    of A, does not, and serves the Mikhailov check on A - E.
 
-    When char(A) = prod f_j^(e_j), which is factored first, has two or
-    more distinct factors f_j, P_mu is not formed whole.  Each eigenvalue
-    belongs to one block f_j^(e_j), so each monomial deals the parts of
-    mu out to the blocks, and P_mu is the product over the deals of the
-    pieces whose roots are the products of one local monomial per block:
-    the piece's power sums are the products of the blocks' orbit power
-    sums, from the block traces e_j * p_s(f_j).  The factors of P_mu are
-    those of its pieces.  With one distinct factor the one piece would
-    be P_mu itself, which _orbit_poly builds with less bookkeeping.
+    Duality: pad mu to n parts, t = mu_1.  Over one index tuple
+    a^mu = det^t / a^dual, dual = (t - mu_n, ..., t - mu_1) without
+    zeros.  When |dual| < |mu| the factors of P_mu are the reciprocals
+    of those of P_dual (monic: their constant terms are +-1) with roots
+    times det^t; an empty dual gives x - det^t.
 
-    When char(A) is irreducible and has_symmetric_galois_group certifies
-    its Galois group as S_n (Dedekind's theorem on the factor patterns
-    of char(A) mod small primes and Jordan's theorem on primitive groups
-    with a transposition), the group permutes the monomials of every
-    P_mu transitively, so P_mu = g^e for one irreducible g.  A P_mu of
-    degree above 4 that is squarefree mod one of 3..13 then has e = 1
-    and is its own one factor, with nothing to factor.  Every other P_mu,
-    and every P_mu of an uncertified action, is factored as above.
+    Signs: otherwise each monomial deals the parts of mu out to the
+    blocks f^e of char(A), factored first.  A linear block is x - r,
+    r = +-1 (a unit polynomial has no other integer root); its parts nu
+    multiply the root by r^|nu|, and do not fit when len(nu) > e.  A
+    deal to linear blocks only gives x - s, s the product of the signs;
+    one that reaches one nonlinear block f gives the factors of f's
+    local orbit polynomial, roots times s; only one that reaches two or
+    more builds their combined piece (power sums: the products of the
+    blocks' orbit power sums) and factors it.  Factors are kept per
+    (f, nu) key for the classification.
+
+    Per-block certificate: when f has multiplicity 1 and Galois group
+    S_n, S_n permutes the monomials of a local orbit polynomial
+    transitively, so one of degree above 4 that is squarefree mod one
+    of 3..13 is irreducible.  disc f = det(s_(i+j)), the Hankel matrix
+    of f's power sums: a square puts the group inside A_n; for n = 3 a
+    non-square one proves S_3 (an irreducible cubic has group A_3 or
+    S_3); from n = 4 has_symmetric_galois_group decides.
     """
 
     def __init__(self, A: IntMatrix):
         self.n = A.rows
         self.char = char_poly(A)
+        self._det = (-1) ** self.n * self.char.constant()
         self._traces: list[int] = []
-        self._blocks: Optional[tuple] = None  # (f_j, e_j), char(A) = prod f_j^e_j
+        self._blocks: Optional[dict] = None  # f_j -> e_j, char(A) = prod f_j^e_j
         self._block_traces: dict[IntPoly, list[int]] = {}
+        self._symmetric: dict[IntPoly, bool] = {}
+        self._local: dict[tuple, tuple[IntPoly, ...]] = {}
         self._irreducibles: dict[tuple, tuple[IntPoly, ...]] = {}
 
     def irreducibles(self, mu: tuple[int, ...]) -> tuple[IntPoly, ...]:
         """The distinct monic irreducible factors of P_mu."""
         if self._blocks is None:
-            self._blocks = factor_over_Z(self.char).factors
+            assert abs(self._det) == 1, "orbit factor sets need det A = +-1"
+            self._blocks = dict(factor_over_Z(self.char).factors)
+            # the empty monomial, and each block f as its own P_(1)
+            self._local[()] = (IntPoly((-1, 1)),)
+            for f in self._blocks:
+                self._local[((f, (1,)),)] = (f,)
         if mu not in self._irreducibles:
-            if mu == (1,):
-                found = [f for f, _ in self._blocks]
-            elif len(self._blocks) > 1:
-                found = {g for P in self._pieces(mu) for g, _ in factor_over_Z(P).factors}
+            dual = _dual(mu, self.n)
+            if sum(dual) < sum(mu):
+                found = self._from_dual(mu[0], dual)
             else:
-                P = self._orbit_poly(mu)
-                if P.degree() > 4 and self._symmetric_galois and squarefree_mod_small_prime(P):
-                    found = [P]
-                else:
-                    found = [g for g, _ in factor_over_Z(P).factors]
-            self._irreducibles[mu] = tuple(sorted(found, key=IntPoly.sort_key))
+                found = self._from_deals(mu)
+            self._irreducibles[mu] = tuple(sorted(set(found), key=IntPoly.sort_key))
         return self._irreducibles[mu]
 
-    @functools.cached_property
-    def _symmetric_galois(self) -> bool:
-        # char(A) irreducible with Galois group S_n; read after _blocks is set
-        (f, e), *rest = self._blocks
-        return not rest and e == 1 and has_symmetric_galois_group(f)
+    def _from_dual(self, t: int, dual: tuple[int, ...]) -> list[IntPoly]:
+        s = self._det**t
+        if not dual:
+            return [IntPoly((-s, 1))]
+        return [_moved(g, s, inverted=True) for g in self.irreducibles(dual)]
+
+    def _from_deals(self, mu: tuple[int, ...]) -> list[IntPoly]:
+        blocks = list(self._blocks.items())
+        found = []
+        for deal in _deals(mu, len(blocks)):
+            s, key = 1, []
+            for nu, (f, e) in zip(deal, blocks):
+                if len(nu) > e * f.degree():
+                    break
+                if f.degree() == 1:
+                    s *= (-f.constant()) ** sum(nu)
+                elif nu:
+                    key.append((f, nu))
+            else:
+                found += [_moved(g, s) for g in self._local_factors(tuple(key))]
+        return found
+
+    def _local_factors(self, key: tuple) -> tuple[IntPoly, ...]:
+        # the factors of the piece whose roots are the products of one
+        # local monomial of nu per nonlinear block f, over (f, nu) in key
+        if key not in self._local:
+            P = self._piece(key)
+            (f, _), *rest = key
+            if not rest and P.degree() > 4 and self._certified(f) and squarefree_mod_small_prime(P):
+                self._local[key] = (P,)
+            else:
+                self._local[key] = tuple(g for g, _ in factor_over_Z(P).factors)
+        return self._local[key]
+
+    def _piece(self, key: tuple) -> IntPoly:
+        degree = math.prod(
+            math.perm(self._blocks[f] * f.degree(), len(nu)) // _orbit_type(nu).symmetry
+            for f, nu in key
+        )
+        sums = [1] * degree
+        for f, nu in key:
+            t = self._block_sums(f, degree * sum(nu))
+            sums = list(map(operator.mul, sums, _orbit_sums(nu, t, degree)))
+        return from_power_sums(sums)
+
+    def _block_sums(self, f: IntPoly, need: int) -> list[int]:
+        t = _grown(self._block_traces.get(f, []), f, self._blocks[f], need)
+        self._block_traces[f] = t
+        return t
+
+    def _certified(self, f: IntPoly) -> bool:
+        # Gal(f) = S_n for a block f of multiplicity 1 and degree n >= 3
+        if f not in self._symmetric:
+            n = f.degree()
+            ok = self._blocks[f] == 1 and n >= 3
+            if ok:
+                s = [n] + self._block_sums(f, 2 * n - 2)
+                disc = determinant(IntMatrix.from_rows(s[i : i + n] for i in range(n)))
+                square = disc > 0 and math.isqrt(disc) ** 2 == disc
+                ok = not square and (n == 3 or has_symmetric_galois_group(f))
+            self._symmetric[f] = ok
+        return self._symmetric[f]
 
     def _orbit_poly(self, mu: tuple[int, ...]) -> IntPoly:
+        # P_mu whole, from the traces of A
         degree = math.perm(self.n, len(mu)) // _orbit_type(mu).symmetry
         self._traces = _grown(self._traces, self.char, 1, degree * sum(mu))
         return from_power_sums(_orbit_sums(mu, self._traces, degree))
-
-    def _pieces(self, mu: tuple[int, ...]):
-        # the pieces of P_mu of positive degree, one per deal of its parts
-        # to the blocks of char(A)
-        for deal in _deals(mu, len(self._blocks)):
-            parts = [(nu, block) for nu, block in zip(deal, self._blocks) if nu]
-            degree = 1
-            for nu, (f, e) in parts:
-                degree *= math.perm(e * f.degree(), len(nu)) // _orbit_type(nu).symmetry
-            if not degree:
-                continue
-            sums = [1] * degree
-            for nu, (f, e) in parts:
-                t = _grown(self._block_traces.get(f, []), f, e, degree * sum(nu))
-                self._block_traces[f] = t
-                sums = list(map(operator.mul, sums, _orbit_sums(nu, t, degree)))
-            yield from_power_sums(sums)
 
     def level(self, k: int, lie: bool) -> AfResult:
         """Factor values of the tensor level k, or with lie of L_k."""

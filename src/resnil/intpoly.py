@@ -46,10 +46,13 @@ Dedekind's theorem each pattern is the cycle type of a Frobenius
 element, a pattern 1 + (n - 1) makes the group primitive, a pattern
 with one part 2 and every other part odd gives a transposition, and a
 primitive group containing a transposition is S_n (Jordan).  Without
-both patterns it returns False and the caller factors as before.  The
-orbit polynomials of a certified char(A) are powers of one irreducible,
-so criteria only checks them for squarefreeness
-(squarefree_mod_small_prime) and does not factor them.
+both patterns it returns False and the caller factors as before.
+criteria uses it per block of char(A), behind a discriminant test, and
+checks the local orbit polynomials of a certified block only for
+squarefreeness (squarefree_mod_small_prime).
+
+factor_over_Z checks its result at one integer X, larger than twice
+every coefficient of both sides, rather than by expanding the product.
 """
 
 from __future__ import annotations
@@ -91,12 +94,12 @@ class IntPoly:
     coeffs: tuple[int, ...]
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        cs = []
-        for c in coeffs:
-            ic = int(c)
-            if ic != c:
-                raise TypeError(f"non-integer coefficient {c!r}")
-            cs.append(ic)
+        cs = list(coeffs)
+        if not set(map(type, cs)) <= {int}:
+            for i, c in enumerate(cs):
+                cs[i] = int(c)
+                if cs[i] != c:
+                    raise TypeError(f"non-integer coefficient {c!r}")
         object.__setattr__(self, "coeffs", tuple(_trim(cs)))
 
     @staticmethod
@@ -186,8 +189,9 @@ class IntPoly:
             raise ZeroPolynomial("zero polynomial has no primitive part")
         unit = 1 if self.coeffs[-1] > 0 else -1
         cont = self.content()
-        prim = IntPoly(c // (unit * cont) for c in self.coeffs)
-        return unit, cont, prim
+        if unit * cont == 1:
+            return unit, cont, self
+        return unit, cont, IntPoly(c // (unit * cont) for c in self.coeffs)
 
     def shift_up(self, k: int) -> "IntPoly":
         """Multiply by x^k."""
@@ -776,8 +780,23 @@ def factor_over_Z(p: IntPoly) -> FactorizationZ:
         pairs = _factor_zassenhaus(f)
     factors = tuple(sorted(pairs, key=lambda fm: fm[0].sort_key()))
     result = FactorizationZ(unit, content, factors)
-    assert result.expand() == p, "factorization reassembly failed"
+    assert _reassembles(result, p), "factorization reassembly failed"
     return result
+
+
+def _reassembles(result: FactorizationZ, p: IntPoly) -> bool:
+    # result.expand() == p, decided at one integer X = 2L + 1, where L
+    # bounds the coefficients of both sides (the product's by the
+    # product of the 1-norms): two integer polynomials whose
+    # coefficients all lie below X/2 in absolute value and that agree
+    # at X are equal
+    scale = result.unit * result.content
+    L = max(
+        max(map(abs, p.coeffs)),
+        abs(scale) * math.prod(sum(map(abs, f.coeffs)) ** m for f, m in result.factors),
+    )
+    X = 2 * L + 1
+    return p.evaluate(X) == scale * math.prod(f.evaluate(X) ** m for f, m in result.factors)
 
 
 def has_symmetric_galois_group(f: IntPoly) -> bool:

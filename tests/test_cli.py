@@ -1,5 +1,6 @@
 """Command line front end tests."""
 
+import argparse
 import io
 import json
 import os
@@ -355,6 +356,27 @@ class TestExitCodes:
         out = capsys.readouterr().out
         for ex in builtin_examples():
             assert ex.name in out
+
+    @pytest.mark.parametrize("columns", ["60", "100", None])
+    def test_help_as_argparse_formats_it(self, monkeypatch, capsys, columns):
+        # the parser looks the terminal width up once; its help is what
+        # argparse's own formatter, which looks it up per option, prints
+        if columns is None:
+            monkeypatch.delenv("COLUMNS", raising=False)
+        else:
+            monkeypatch.setenv("COLUMNS", columns)
+        assert main(["--help"]) == 0
+        out = capsys.readouterr().out
+
+        class OwnWidth(argparse.HelpFormatter):
+            def __init__(self, prog, width=None, **kwargs):
+                super().__init__(prog, **kwargs)
+
+        monkeypatch.setattr(argparse, "HelpFormatter", OwnWidth)
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out == out
+        if columns == "60":
+            assert max(map(len, out.splitlines())) <= 58
 
 
 class TestBuiltinExamples:

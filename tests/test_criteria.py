@@ -94,6 +94,29 @@ def _block_triangular(rng, n):
     return M(rows)
 
 
+def _signed_block_action(rng, n):
+    """A unimodular n x n block upper triangular action whose diagonal
+    blocks are +-1 entries, each sign repeated one to three times, and
+    random unimodular blocks of size 2 or 3, with random entries above
+    the blocks."""
+    blocks = []
+    while sum(b.rows for b in blocks) < n:
+        room = n - sum(b.rows for b in blocks)
+        if room >= 2 and rng.random() < 0.5:
+            size = rng.randint(2, min(3, room))
+            blocks.append(random_unimodular(rng, size, steps=rng.randint(3, 8)))
+        else:
+            blocks += [M([[rng.choice([1, -1])]])] * min(rng.randint(1, 3), room)
+    rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+    start = 0
+    for b in blocks:
+        for i in range(b.rows):
+            rows[start + i][:start] = [0] * start
+            rows[start + i][start : start + b.rows] = b.row(i)
+        start += b.rows
+    return M(rows)
+
+
 def radical(m):
     m = abs(m)
     out = []
@@ -886,13 +909,14 @@ def _power_sum_path(A, K):
 
 def _factor_sets_agree(graded, K):
     # irreducibles(mu) is the factor set of P_mu for every mu of k <= K;
-    # returns the number of mu that took the certified route
+    # returns the number of mu of degree above 4 when char(A) is a
+    # certified S_n block
     certified = 0
     for k in range(1, K + 1):
         for mu in _partitions(k, graded.n):
             P = graded._orbit_poly(mu)
             assert graded.irreducibles(mu) == tuple(g for g, _ in factor_over_Z(P).factors)
-            certified += P.degree() > 4 and graded._symmetric_galois
+            certified += P.degree() > 4 and graded._symmetric.get(graded.char, False)
     return certified
 
 
@@ -965,26 +989,32 @@ class TestOrbitTypes:
             return factor_over_Z(P)
 
         built = []
-        orbit_poly = _GradedFactors._orbit_poly
+        piece = _GradedFactors._piece
 
-        def recording_orbit_poly(graded, mu):
-            built.append(mu)
-            return orbit_poly(graded, mu)
+        def recording_piece(graded, key):
+            built.append(key)
+            return piece(graded, key)
 
         monkeypatch.setattr(criteria, "char_poly", counting_char_poly)
         monkeypatch.setattr(criteria, "factor_over_Z", counting_factor)
-        monkeypatch.setattr(_GradedFactors, "_orbit_poly", recording_orbit_poly)
+        monkeypatch.setattr(_GradedFactors, "_piece", recording_piece)
         # x^3 - 5x + 1: not a fiber action, so every stage runs
         A = M([[0, 0, -1], [1, 0, 5], [0, 1, 0]])
+        f = char_poly(A)
         classify_general(A, tensor_bound=3)
+        factored = calls["factor_over_Z"][:]
         assert calls["char_poly"] == 1
-        assert built == [(2,), (1, 1), (3,), (2, 1), (1, 1, 1)]
-        # char(A) first, then every P_mu but P_(2,1): of degree 6, it is
-        # one irreducible, since the Galois group of x^3 - 5x + 1 is S_3
+        # P_(1,1) and P_(1,1,1) come from their duals (1) and (), so only
+        # P_(2), P_(3) and P_(2,1) are built, each once
+        assert built == [((f, mu),) for mu in [(2,), (3,), (2, 1)]]
+        # char(A) first, then every built P_mu but P_(2,1): of degree 6,
+        # it is one irreducible, since disc f = 473 is not a square, so
+        # the Galois group of the cubic f is S_3
         graded = _GradedFactors(A)
-        skipped = orbit_poly(graded, (2, 1))
-        assert calls["factor_over_Z"] == [char_poly(A)] + [
-            orbit_poly(graded, mu) for mu in built if mu != (2, 1)
+        assert graded.irreducibles((1,)) == (f,)
+        skipped = piece(graded, ((f, (2, 1)),))
+        assert factored == [f] + [
+            piece(graded, key) for key in built if key != ((f, (2, 1)),)
         ]
         assert graded.irreducibles((2, 1)) == (skipped,)
         assert factor_over_Z(skipped).factors == ((skipped, 1),)
@@ -1006,20 +1036,55 @@ class TestOrbitTypes:
 
         with_alarm(60, check)
 
+    def test_every_route_gives_the_factors_of_the_whole(self, monkeypatch):
+        # block-triangular actions with repeated +-1 blocks: each of the
+        # four routes (signs only, one nonlinear block, the dual, a
+        # combined piece) is taken, and irreducibles(mu) is always the
+        # factor set of P_mu built whole
+        routes = {"signs": 0, "one block": 0, "dual": 0, "combined": 0}
+        local, from_dual = _GradedFactors._local_factors, _GradedFactors._from_dual
+
+        def counting_local(graded, key):
+            routes[("signs", "one block")[len(key)] if len(key) < 2 else "combined"] += 1
+            return local(graded, key)
+
+        def counting_dual(graded, t, dual):
+            routes["dual"] += 1
+            return from_dual(graded, t, dual)
+
+        monkeypatch.setattr(_GradedFactors, "_local_factors", counting_local)
+        monkeypatch.setattr(_GradedFactors, "_from_dual", counting_dual)
+        rng = random.Random(6301)
+
+        def check():
+            for i in range(100):
+                n = 2 + i % 5
+                graded = _GradedFactors(_signed_block_action(rng, n))
+                for k in range(1, (6 if n == 2 else 4) + 1):
+                    for mu in _partitions(k, n):
+                        whole = factor_over_Z(graded._orbit_poly(mu)).factors
+                        assert graded.irreducibles(mu) == tuple(g for g, _ in whole)
+
+        with_alarm(60, check)
+        assert all(routes.values()), routes
+
     def test_pieces_stay_small(self, monkeypatch):
-        # x^4 - 2x + 1 = (x - 1)(x^3 + x^2 + x - 1): P_(2,1), of degree 12,
-        # is factored as pieces of degree 6, 3 and 3
-        degrees = []
+        # x^4 - 2x + 1 = (x - 1)(x^3 + x^2 + x - 1): the linear block only
+        # signs the roots, and the cubic's local P_(2,1), of degree 6, is
+        # one irreducible (its discriminant -44 is not a square), so after
+        # char(A) nothing above degree 3 is factored
+        factored = []
 
         def recording(P):
-            degrees.append(P.degree())
+            factored.append(P)
             return factor_over_Z(P)
 
         monkeypatch.setattr(criteria, "factor_over_Z", recording)
         A = M([[0, 0, 0, -1], [1, 0, 0, 2], [0, 1, 0, 0], [0, 0, 1, 0]])
         assert char_poly(A) == IntPoly([1, -2, 0, 0, 1])
         with_alarm(10, lambda: classify_general(A, tensor_bound=3))
-        assert degrees and max(degrees) == 6
+        assert factored[0] == char_poly(A)
+        assert len(factored) > 1 and max(P.degree() for P in factored[1:]) <= 3
 
     def test_trace_list_grows_geometrically(self, monkeypatch):
         calls = []
@@ -1029,11 +1094,15 @@ class TestOrbitTypes:
             return power_sums(f, m)
 
         monkeypatch.setattr(criteria, "power_sums", counting_power_sums)
-        # rank 1: level k needs k traces, and no audit cap ever trips
-        K = 1000
-        classify_general(M([[-1]]), tensor_bound=K)
-        assert max(calls) >= K
-        assert len(calls) <= math.log2(K) + 2
+        # rank 2 with the caps lifted: P_(k) of the irreducible block
+        # needs 2k traces at level k; every P_(i,j) comes from its dual
+        K = 256
+        A = M([[2, 1], [1, 1]])
+        with_alarm(30, lambda: classify_general(
+            A, tensor_bound=K, side_cap=2**K, witt_cap=2**K
+        ))
+        assert max(calls) >= 2 * K
+        assert len(calls) <= math.log2(2 * K) + 2
 
     def test_rank_one_large_bound_ends(self):
         # no cap trips at rank 1; each level costs divisors up to sqrt(k)
@@ -1131,6 +1200,40 @@ class TestSymmetricGalois:
         if group == "C3":
             # the six roots a_i^2 a_j fall into two Galois orbits
             assert [g.degree() for g in graded.irreducibles((2, 1))] == [3, 3]
+
+    def test_signed_spectrum_factors_only_its_char_poly(self, monkeypatch):
+        # the eigenvalues of [[0, -1], [-1, 0]] are 1 and -1: every P_mu
+        # follows from signs and duality
+        factored = []
+        monkeypatch.setattr(criteria, "factor_over_Z",
+                            lambda P: factored.append(P) or factor_over_Z(P))
+        A = M([[0, -1], [-1, 0]])
+        with_alarm(10, lambda: classify_general(A, tensor_bound=6))
+        assert factored == [char_poly(A)]
+
+    @staticmethod
+    def _refuse(*args):
+        raise AssertionError("the prime scan ran")
+
+    def test_square_discriminant_is_not_scanned(self, monkeypatch):
+        # disc(x^3 - 3x - 1) = 81 puts its group inside A_3
+        monkeypatch.setattr(criteria, "has_symmetric_galois_group", self._refuse)
+        f = IntPoly([-1, -3, 0, 1])
+        graded = _GradedFactors(companion(f))
+        assert with_alarm(10, lambda: _factor_sets_agree(graded, 4)) == 0
+        assert graded._symmetric == {f: False}
+
+    def test_cubic_certified_by_its_discriminant(self, monkeypatch):
+        # disc(x^3 - 5x + 1) = 473 is not a square, so its group is S_3
+        monkeypatch.setattr(criteria, "has_symmetric_galois_group", self._refuse)
+        monkeypatch.setattr(intpoly, "_squarefree_primes", self._refuse)
+        f = IntPoly([1, -5, 0, 1])
+        graded = _GradedFactors(companion(f))
+        P = graded._orbit_poly((2, 1))
+        assert with_alarm(5, lambda: graded.irreducibles((2, 1))) == (P,)
+        assert graded._symmetric == {f: True}
+        monkeypatch.undo()
+        assert factor_over_Z(P).factors == ((P, 1),)
 
     @pytest.mark.parametrize("coeffs", [[1, -5, 0, 0, 1], [1, -1, 1, 1]])
     def test_symmetric_groups_are_certified(self, coeffs):

@@ -283,6 +283,25 @@ class TestFactorization:
         assert fac.factors == ((IntPoly([7, -43, 49]), 1),)
         assert fac.expand() == f
 
+    def test_reassembly_check_rejects_every_unit_change(self):
+        # the check at one integer X is exact: moving any one coefficient
+        # of p by 1 either way is caught
+        rng = random.Random(37)
+
+        def check():
+            for _ in range(80):
+                p = rand_poly(rng, nonzero=True) * rand_poly(rng, 3, -5, 5, nonzero=True)
+                fac = factor_over_Z(p)
+                assert intpoly._reassembles(fac, p)
+                for i in range(len(p.coeffs)):
+                    for d in (1, -1):
+                        cs = list(p.coeffs)
+                        cs[i] += d
+                        if any(cs):
+                            assert not intpoly._reassembles(fac, IntPoly(cs))
+
+        with_alarm(30, check)
+
     def test_canonical_invariants(self):
         rng = random.Random(31)
         for _ in range(150):
