@@ -11,6 +11,10 @@ through ``resnil.cli.main``, as ``perfbench/run.py`` runs it.  So do:
   n = 12 with ``--cap 100000``: their Galois group is S_n and their
   orbit polynomials are the largest the audits meet (degree up to 220);
 - ``--help`` and ``--list-examples``;
+- ``--help`` and the usage error of ``--power x`` at COLUMNS 60 and
+  100, each set after the package import and restored afterwards:
+  argparse sizes help at the time of the call, so a parser that froze
+  the terminal width when it was built prints other bytes here;
 - seeded block upper triangular actions of rank 4..7 whose diagonal
   blocks are +-1 entries and companions of unit cubics and quartics, at
   K = 3 and 4 with ``--cap 100000``: the sign rule, the combined pieces
@@ -24,6 +28,7 @@ bytes.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
 import json
@@ -32,6 +37,7 @@ import random
 import sys
 
 SEEDS = (1, 2, 7, 41)
+WIDTHS = ("60", "100")
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -48,6 +54,20 @@ def fingerprint(cli, argv, stdin) -> str:
         sys.stdin, sys.stdout, sys.stderr = saved
     blob = json.dumps([code, out.getvalue(), err.getvalue()])
     return hashlib.sha256(blob.encode()).hexdigest()
+
+
+@contextlib.contextmanager
+def terminal_width(columns: str):
+    # the width argparse reads from COLUMNS, for the duration of the block
+    saved = os.environ.get("COLUMNS")
+    os.environ["COLUMNS"] = columns
+    try:
+        yield
+    finally:
+        if saved is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = saved
 
 
 def rank_wall():
@@ -125,6 +145,10 @@ def main(src: str) -> dict:
     }
     for name, argv in extra_jobs():
         out[name] = fingerprint(cli, argv, "")
+    for columns in WIDTHS:
+        with terminal_width(columns):
+            for argv in (["--help"], ["--power", "x"]):
+                out[f"columns/{columns}/{' '.join(argv)}"] = fingerprint(cli, argv, "")
     return out
 
 

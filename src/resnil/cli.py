@@ -14,9 +14,7 @@ from __future__ import annotations
 import argparse
 import ast
 import dataclasses
-import functools
 import json
-import shutil
 import sys
 from typing import Optional
 
@@ -446,11 +444,8 @@ def run(job: JobSpec) -> tuple[str, Verdict]:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    # the width argparse would look up once per option, looked up once
-    width = shutil.get_terminal_size().columns - 2
     p = argparse.ArgumentParser(
         prog="resnil",
-        formatter_class=functools.partial(argparse.HelpFormatter, width=width),
         description=(
             "Decide residual nilpotence and residual p-finiteness of a "
             "free-by-cyclic or abelian-by-cyclic group from its "
@@ -472,10 +467,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# built once per process: argparse looks the terminal width up when it
+# formats help or a usage error, not when the parser is built
+_PARSER = _build_parser()
+
+
 def main(argv: Optional[list] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as e:
         code = e.code if isinstance(e.code, int) else 2
         return code

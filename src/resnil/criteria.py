@@ -456,12 +456,10 @@ def _orbit_sums(mu: tuple[int, ...], t: list[int], m: int) -> list[int]:
     return sums
 
 
-def _grown(t: list[int], f: IntPoly, e: int, need: int) -> list[int]:
-    # at least `need` power sums of the roots of f^e; grown geometrically,
-    # since at rank 1 every level needs one more
-    if len(t) < need:
-        t = [e * s for s in power_sums(f, max(need, 2 * len(t)))]
-    return t
+def _orbit_poly(f: IntPoly, mu: tuple[int, ...]) -> IntPoly:
+    # P_mu whole, from the power sums of the roots of f
+    degree = math.perm(f.degree(), len(mu)) // _orbit_type(mu).symmetry
+    return from_power_sums(_orbit_sums(mu, power_sums(f, degree * sum(mu)), degree))
 
 
 def _dual(mu: tuple[int, ...], n: int) -> tuple[int, ...]:
@@ -487,8 +485,7 @@ def _moved(g: IntPoly, s: int, inverted: bool = False) -> IntPoly:
 
 class _GradedFactors:
     """Irreducible factors of the graded components of the action of A,
-    by orbit type.  One instance lives for one classification (or one
-    Mikhailov check, built on A - E).
+    by orbit type.  One instance lives for one classification.
 
     The roots of char(A^{(x)k}) are the products of k eigenvalues of A.
     Grouped by exponent pattern, a partition mu of k into at most n
@@ -500,9 +497,10 @@ class _GradedFactors:
     char(A | L_k) = prod over mu of P_mu^lyndon_count(mu) (Witt; see
     Reutenauer, Free Lie Algebras, 1993), so the irreducible factors of
     a level are those of its P_mu; P_(1) = char(A).  irreducibles(mu)
-    takes them from what A fixes and factors only the rest.  It needs
-    det A = +-1; _orbit_poly, which builds P_mu whole from the traces
-    of A, does not, and serves the Mikhailov check on A - E.
+    takes them from what A fixes and factors only the rest, and needs
+    det A = +-1.  The Mikhailov check, on A - E, builds each P_(1^k)
+    whole from the power sums of char(A - E) with the module-level
+    _orbit_poly and uses no instance.
 
     Duality: pad mu to n parts, t = mu_1.  Over one index tuple
     a^mu = det^t / a^dual, dual = (t - mu_n, ..., t - mu_1) without
@@ -534,7 +532,6 @@ class _GradedFactors:
         self.n = A.rows
         self.char = char_poly(A)
         self._det = (-1) ** self.n * self.char.constant()
-        self._traces: list[int] = []
         self._blocks: Optional[dict] = None  # f_j -> e_j, char(A) = prod f_j^e_j
         self._block_traces: dict[IntPoly, list[int]] = {}
         self._symmetric: dict[IntPoly, bool] = {}
@@ -605,8 +602,13 @@ class _GradedFactors:
         return from_power_sums(sums)
 
     def _block_sums(self, f: IntPoly, need: int) -> list[int]:
-        t = _grown(self._block_traces.get(f, []), f, self._blocks[f], need)
-        self._block_traces[f] = t
+        # at least `need` power sums of the roots of f^e; grown
+        # geometrically, since at rank 1 every level needs one more
+        t = self._block_traces.get(f, [])
+        if len(t) < need:
+            e = self._blocks[f]
+            t = [e * s for s in power_sums(f, max(need, 2 * len(t)))]
+            self._block_traces[f] = t
         return t
 
     def _certified(self, f: IntPoly) -> bool:
@@ -621,12 +623,6 @@ class _GradedFactors:
                 ok = not square and (n == 3 or has_symmetric_galois_group(f))
             self._symmetric[f] = ok
         return self._symmetric[f]
-
-    def _orbit_poly(self, mu: tuple[int, ...]) -> IntPoly:
-        # P_mu whole, from the traces of A
-        degree = math.perm(self.n, len(mu)) // _orbit_type(mu).symmetry
-        self._traces = _grown(self._traces, self.char, 1, degree * sum(mu))
-        return from_power_sums(_orbit_sums(mu, self._traces, degree))
 
     def level(self, k: int, lie: bool) -> AfResult:
         """Factor values of the tensor level k, or with lie of L_k."""
@@ -690,9 +686,9 @@ def mikhailov_module_check(A: IntMatrix) -> bool:
     A - E: their roots are these products (the eigenvalues of the
     compound matrix C_k(A - E)), so neither P(1) nor P(-1) may vanish."""
     _require_square(A)
-    graded = _GradedFactors(A.minus_identity())
+    f = char_poly(A.minus_identity())
     for k in range(1, A.rows + 1):
-        P = graded._orbit_poly((1,) * k)
+        P = _orbit_poly(f, (1,) * k)
         if P.evaluate(1) == 0 or P.evaluate(-1) == 0:
             return False
     return True

@@ -13,6 +13,7 @@ import resnil
 from resnil.cli import (
     BuiltinExample,
     JobSpec,
+    _build_parser,
     builtin_examples,
     main,
     parse_endo_text,
@@ -359,24 +360,74 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("columns", ["60", "100", None])
     def test_help_as_argparse_formats_it(self, monkeypatch, capsys, columns):
-        # the parser looks the terminal width up once; its help is what
-        # argparse's own formatter, which looks it up per option, prints
+        # the parser was built at import, before COLUMNS is set here; its
+        # help and usage errors are what a parser built now prints, since
+        # argparse looks the width up when it formats them
         if columns is None:
             monkeypatch.delenv("COLUMNS", raising=False)
         else:
             monkeypatch.setenv("COLUMNS", columns)
         assert main(["--help"]) == 0
         out = capsys.readouterr().out
-
-        class OwnWidth(argparse.HelpFormatter):
-            def __init__(self, prog, width=None, **kwargs):
-                super().__init__(prog, **kwargs)
-
-        monkeypatch.setattr(argparse, "HelpFormatter", OwnWidth)
-        assert main(["--help"]) == 0
-        assert capsys.readouterr().out == out
+        assert out == _build_parser().format_help()
         if columns == "60":
             assert max(map(len, out.splitlines())) <= 58
+
+        assert main(["--power", "x"]) == 2
+        err = capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            _build_parser().parse_args(["--power", "x"])
+        assert capsys.readouterr().err == err
+        assert err.endswith("resnil: error: argument --power: invalid int value: 'x'\n")
+
+
+def _package_env(**extra) -> dict:
+    # the environment in which a child process imports the package this
+    # test imported, installed or not
+    src = os.path.dirname(os.path.dirname(resnil.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
+class TestOneParser:
+    """main parses every job with the one parser built at import."""
+
+    def test_main_builds_no_parser(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("main built an argument parser")
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+        assert main(["--list-examples"]) == 0
+        assert main(["--example", "braid3"]) == 0
+        assert main(["--power", "x"]) == 2
+
+    def test_jobs_in_sequence_print_what_each_prints_alone(self, monkeypatch, capsys):
+        # a refused argv, --list-examples, a JSON job from stdin and a text
+        # job, in one process, against each in a fresh process
+        jobs = [
+            (["--power", "x"], ""),
+            (["--list-examples"], ""),
+            (["--json"], json.dumps({"example": "braid3", "power": 2})),
+            (["--matrix", "[[2,1],[1,1]]", "--tensor-bound", "2"], ""),
+        ]
+        monkeypatch.setenv("COLUMNS", "72")
+        in_sequence = []
+        for argv, stdin in jobs:
+            monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+            code = main(argv)
+            in_sequence.append((code, *capsys.readouterr()))
+        alone = [
+            subprocess.run(
+                [sys.executable, "-m", "resnil.cli", *argv],
+                input=stdin,
+                capture_output=True,
+                text=True,
+                env=_package_env(COLUMNS="72"),
+            )
+            for argv, stdin in jobs
+        ]
+        assert in_sequence == [(p.returncode, p.stdout, p.stderr) for p in alone]
+        assert [code for code, _, _ in in_sequence] == [2, 0, 0, 0]
 
 
 class TestBuiltinExamples:
@@ -439,14 +490,11 @@ class TestBuiltinExamples:
 
 class TestConsoleScript:
     def test_installed_entry_point(self):
-        # the child finds the package this test imported, installed or not
-        src = os.path.dirname(os.path.dirname(resnil.__file__))
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         proc = subprocess.run(
             [sys.executable, "-m", "resnil.cli", "--example", "identity"],
             capture_output=True,
             text=True,
-            env=dict(os.environ, PYTHONPATH=path),
+            env=_package_env(),
         )
         assert proc.returncode == 0
         assert "residually nilpotent: yes" in proc.stdout
@@ -457,7 +505,7 @@ class TestConsoleScript:
             [sys.executable, "-m", "resnil.cli", "--example", "braid3"],
             capture_output=True,
             text=True,
-            env=dict(os.environ, PYTHONPATH=path),
+            env=_package_env(),
         )
         assert proc.returncode == 0
         assert proc.stderr == ""
