@@ -19,7 +19,14 @@ through ``resnil.cli.main``, as ``perfbench/run.py`` runs it.  So do:
   blocks are +-1 entries and companions of unit cubics and quartics, at
   K = 3 and 4 with ``--cap 100000``: the sign rule, the combined pieces
   and the per-block Galois certificate of the orbit factor sets;
-- rank-2 actions at K = 8..10, where duality gives most levels.
+- rank-2 actions at K = 8..10, where duality gives most levels;
+- inputs that pin the order of the size caps and the fiber test: the
+  32x32 Kronecker product of [[0,-1],[1,t]] for t = 3..7 and seeded
+  conjugates of the companions of x^20 - 3x - 1 and x^40 - 3x - 1 at
+  the default K (exit 3, refused before char(A) is formed), the same
+  for x^17 - x - 1, whose det(A - E) = +-1 decides it (exit 0) though
+  17^3 passes the side cap, and [[2,1],[1,1]] at K = 13 (over the cap
+  at rank 2).
 
 Prints a JSON map from job id to the sha256 of (exit code, stdout,
 stderr).  Two trees that print the same map give every job the same
@@ -119,7 +126,22 @@ def block_actions():
         yield f"blocks/{i}", argv + ["--tensor-bound", str(3 + i % 2)]
 
 
-def extra_jobs():
+def cap_order(workloads):
+    # (name, argv): the jobs whose exit rests on the caps being checked
+    # before char(A), after the fiber test
+    M = [[1]]
+    for t in range(3, 8):
+        M = [[a * b for a in ra for b in rb] for ra in M for rb in [[0, -1], [1, t]]]
+    yield "cap_order/kron32", ["--matrix", workloads.lit(M)]
+    rng = random.Random(21)
+    for n, c1 in ((20, -3), (40, -3), (17, -1)):
+        C = workloads.companion([-1, c1] + [0] * (n - 2))
+        A = workloads.conjugate(rng, C, steps=3)
+        yield f"cap_order/companion/{n}", ["--matrix", workloads.lit(A)]
+    yield "cap_order/rank_two/13", ["--matrix", "[[2,1],[1,1]]", "--tensor-bound", "13"]
+
+
+def extra_jobs(workloads):
     # (name, argv) of the jobs beyond the benchmark's
     for n, argv in rank_wall():
         yield f"rank_wall/{n}", argv
@@ -130,6 +152,7 @@ def extra_jobs():
         for K in (8, 9, 10):
             yield f"rank_two/{i}/{K}", ["--matrix", json.dumps(A).replace(" ", ""),
                                         "--tensor-bound", str(K)]
+    yield from cap_order(workloads)
 
 
 def main(src: str) -> dict:
@@ -143,7 +166,7 @@ def main(src: str) -> dict:
         for seed in SEEDS
         for i, job in enumerate(make(seed))
     }
-    for name, argv in extra_jobs():
+    for name, argv in extra_jobs(workloads):
         out[name] = fingerprint(cli, argv, "")
     for columns in WIDTHS:
         with terminal_width(columns):
