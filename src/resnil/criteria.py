@@ -35,6 +35,7 @@ from .errors import (
 )
 from .intpoly import (
     IntPoly,
+    _ints,
     factor_over_Z,
     from_power_sums,
     has_symmetric_galois_group,
@@ -260,12 +261,9 @@ class Verdict:
     witnesses: tuple
 
     def __post_init__(self):
-        entries = tuple(
-            sorted(
-                ((int(p), v) for p, v in self.residually_p_finite),
-                key=lambda t: t[0],
-            )
-        )
+        pairs = tuple(self.residually_p_finite)
+        primes = _ints(p for p, _ in pairs)
+        entries = tuple(sorted(zip(primes, (v for _, v in pairs)), key=lambda t: t[0]))
         for p, _ in entries:
             if not is_prime(p):
                 raise ValueError(f"p-finite entry at non-prime {p}")
@@ -702,8 +700,8 @@ class AuditRecord:
     af: AfResult
 
 
-# the caps bound n^k and the Witt dimension at every level; the audits
-# check them before any work, tensor levels before Lie levels
+# the caps bound n^k and the Witt dimension at every level; each is
+# checked before char(A) is formed, tensor levels before Lie levels
 
 
 def _check_tensor_cap(n: int, K: int, side_cap: int) -> None:
@@ -732,12 +730,12 @@ def _audit_levels(
     return out
 
 
-def _check_audit_input(A: IntMatrix, K: int, p: Optional[int]) -> None:
+def _check_audit_input(A: IntMatrix, K: int, primes: Iterable[int]) -> tuple[int, ...]:
+    """The requested primes, validated, once A is unimodular and K >= 1."""
     _require_unimodular(A)
     if K < 1:
         raise ValueError("bound K must be at least 1")
-    if p is not None:
-        _validated_primes((p,))
+    return _validated_primes(primes)
 
 
 def tensor_power_audit(
@@ -754,7 +752,7 @@ def tensor_power_audit(
     from the traces tr(A^s) and factored on its own.  The side cap
     still bounds n^k, the degree of char(A^{(x)k}).
     """
-    _check_audit_input(A, K, p)
+    _check_audit_input(A, K, () if p is None else (p,))
     _check_tensor_cap(A.rows, K, side_cap)
     return _audit_levels(_GradedFactors(A), K, p, lie=False)
 
@@ -773,7 +771,7 @@ def lie_component_audit(
     Lyndon word (see _GradedFactors).  The Witt cap still bounds the
     Witt dimension, the degree of char(A | L_k).
     """
-    _check_audit_input(A, K, p)
+    _check_audit_input(A, K, () if p is None else (p,))
     _check_lie_cap(A.rows, K, witt_cap)
     return _audit_levels(_GradedFactors(A), K, p, lie=True)
 
@@ -966,12 +964,7 @@ def finite_index_resnil_subgroup(A: IntMatrix) -> SubgroupReport:
     return SubgroupReport(index, P, dataclasses.replace(sub, witnesses=witnesses))
 
 
-def _audit_witnesses(
-    graded: _GradedFactors, K: int, side_cap: int, witt_cap: int
-) -> list[Witness]:
-    _check_tensor_cap(graded.n, K, side_cap)
-    _check_lie_cap(graded.n, K, witt_cap)
-
+def _audit_witnesses(graded: _GradedFactors, K: int) -> list[Witness]:
     def bits(lie: bool) -> str:
         return ", ".join(
             f"k={r.k} {'pass' if r.af_nilpotent else 'fail'}"
@@ -1009,27 +1002,29 @@ def classify_general(
     never flipping the verdict.
     """
     A = abelianization_matrix(obj) if isinstance(obj, FreeEndo) else obj
-    _require_unimodular(A)
-    req = _validated_primes(primes)
     n = A.rows
     K = tensor_bound if tensor_bound is not None else (4 if n == 2 else 3)
-    if K < 1:
-        raise ValueError("bound K must be at least 1")
+    req = _check_audit_input(A, K, primes)
+    # det(A - E) = +-1 decides rank >= 3 without the caps, so it is taken
+    # by Bareiss; any other input meets the caps before char(A) is formed
+    dAe = determinant(A.minus_identity())
+    fiber = n != 2 and abs(dAe) == 1
+    if not fiber:
+        _check_tensor_cap(n, K, side_cap)
+        _check_lie_cap(n, K, witt_cap)
 
     # char(A) and each orbit polynomial are factored once per call
     graded = _GradedFactors(A)
     if n == 2:
         v = classify_f2(A, primes=req)
-        ws = _audit_witnesses(graded, K, side_cap, witt_cap)
-        return dataclasses.replace(v, witnesses=v.witnesses + tuple(ws))
+        return dataclasses.replace(v, witnesses=v.witnesses + tuple(_audit_witnesses(graded, K)))
 
     witnesses: list[Witness] = []
     af = graded.level(1, lie=False)
     vals = ", ".join(f"({f}) -> {val}" for f, val in af.factor_values)
     factor_witness = Witness("char_poly_factor_values", f"factor values at 1: {vals}")
-    dAe = determinant(A.minus_identity())
 
-    if abs(dAe) == 1:
+    if fiber:
         witnesses.append(
             Witness(
                 "fiber_stabilization",
@@ -1095,7 +1090,7 @@ def classify_general(
     if resnil:
         witnesses.append(_chain_witness())
 
-    witnesses.extend(_audit_witnesses(graded, K, side_cap, witt_cap))
+    witnesses.extend(_audit_witnesses(graded, K))
 
     if resnil:
         # a rank-1 fiber (n = 1 reaches this path) keeps its length unknown

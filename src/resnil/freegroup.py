@@ -19,7 +19,7 @@ from .errors import (
     UnknownGenerator,
     WordSyntaxError,
 )
-from .intpoly import _power
+from .intpoly import _ints, _power
 from .zlinalg import IntMatrix, is_unimodular
 
 __all__ = [
@@ -65,7 +65,8 @@ class FreeWord:
     def __init__(self, rank: int, syllables: Iterable[tuple[int, int]] = ()):
         if rank < 1:
             raise RankMismatch(f"rank must be >= 1, got {rank}")
-        reduced = _reduce((int(g), int(e)) for g, e in syllables)
+        pairs = tuple(syllables)
+        reduced = _reduce(zip(_ints(g for g, _ in pairs), _ints(e for _, e in pairs)))
         for g, _ in reduced:
             if not 1 <= g <= rank:
                 raise RankMismatch(f"generator {g} outside rank {rank}")

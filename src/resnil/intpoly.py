@@ -82,6 +82,22 @@ __all__ = [
 ]
 
 
+def _ints(values: Iterable) -> list[int]:
+    """The one integer rule for every value the package stores: ints are
+    kept, an integral value of another type (2.0, True) is converted and
+    anything else raises TypeError.  All-int input is not converted."""
+    out = list(values)
+    if not set(map(type, out)) <= {int}:
+        for i, v in enumerate(out):
+            try:
+                out[i] = int(v)
+            except (TypeError, ValueError, OverflowError):
+                pass
+            if type(out[i]) is not int or out[i] != v:
+                raise TypeError(f"non-integer value {v!r}")
+    return out
+
+
 @dataclasses.dataclass(frozen=True, init=False)
 class IntPoly:
     """Dense integer polynomial; ``coeffs[i]`` is the coefficient of x^i.
@@ -94,13 +110,7 @@ class IntPoly:
     coeffs: tuple[int, ...]
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        cs = list(coeffs)
-        if not set(map(type, cs)) <= {int}:
-            for i, c in enumerate(cs):
-                cs[i] = int(c)
-                if cs[i] != c:
-                    raise TypeError(f"non-integer coefficient {c!r}")
-        object.__setattr__(self, "coeffs", tuple(_trim(cs)))
+        object.__setattr__(self, "coeffs", tuple(_trim(_ints(coeffs))))
 
     @staticmethod
     def const(c: int) -> "IntPoly":

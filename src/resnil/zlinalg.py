@@ -20,7 +20,7 @@ from .errors import (
     NotUnimodular,
     SizeCapExceeded,
 )
-from .intpoly import IntPoly, _power, from_power_sums
+from .intpoly import IntPoly, _ints, _power, from_power_sums
 
 __all__ = [
     "IntMatrix",
@@ -51,7 +51,7 @@ class IntMatrix:
     entries: tuple[int, ...]
 
     def __init__(self, rows: int, cols: int, entries):
-        entries = tuple(int(e) for e in entries)
+        entries = tuple(_ints(entries))
         if rows < 0 or cols < 0 or len(entries) != rows * cols:
             raise DimensionMismatch(
                 f"{rows} x {cols} matrix needs {rows * cols} entries, got {len(entries)}"
@@ -396,7 +396,7 @@ class SubLattice:
 
 def lattice_contains(L: SubLattice, vec) -> bool:
     """Exact membership by back-substitution against the Hermite basis."""
-    v = [int(x) for x in vec]
+    v = _ints(vec)
     if len(v) != L.ambient_rank:
         raise DimensionMismatch(
             f"vector length {len(v)} does not match ambient rank {L.ambient_rank}"

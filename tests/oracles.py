@@ -45,6 +45,15 @@ def with_alarm(seconds, func):
         return func()
 
 
+def unit_kronecker_product(ts):
+    """Rows of the Kronecker product of the unit companions [[0,-1],[1,t]]
+    over t in ts: an action of side 2^len(ts) with det 1."""
+    M = [[1]]
+    for t in ts:
+        M = [[a * b for a in ra for b in rb] for ra in M for rb in ((0, -1), (1, t))]
+    return M
+
+
 # ---------------------------------------------------------------------------
 # polynomial factorization for degree <= 4, Kronecker style
 

@@ -24,7 +24,7 @@ from resnil.criteria import Verdict, classify_general
 from resnil.errors import DimensionMismatch, NotPrime, WordSyntaxError
 from resnil.freegroup import abelianization_matrix, endo_power
 
-from oracles import with_alarm
+from oracles import unit_kronecker_product, with_alarm
 
 
 class TestInputParsing:
@@ -265,6 +265,22 @@ class TestExitCodes:
             "error: tensor bound 1000000 exceeds cap 4096\n"
             "error: Kronecker power side 2^13 exceeds cap 4096\n"
         )
+
+    def test_over_cap_product_refused_before_char_poly(self, capsys):
+        # the 64x64 product at the default K = 3 ran past 60 s in char(A)
+        # and its factors before the caps refused it
+        A = json.dumps(unit_kronecker_product(range(3, 9)))
+        assert with_alarm(5, lambda: main(["--matrix", A])) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: Kronecker power side 64^3 exceeds cap 4096\n"
+
+    def test_fiber_action_past_the_caps_exits_0(self, capsys):
+        # companion of x^17 - x - 1: det(A - E) = +-1 decides it before
+        # the caps, though 17^3 > 4096
+        rows = [[int(i == j + 1) for j in range(16)] + [int(i < 2)] for i in range(17)]
+        assert with_alarm(5, lambda: main(["--matrix", json.dumps(rows)])) == 0
+        assert "det(A-E)=1 is a unit" in capsys.readouterr().out
 
     def test_huge_endo_exponents_end(self, capsys):
         # each image is powered, not repeated 10^8 times

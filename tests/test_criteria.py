@@ -67,7 +67,7 @@ from resnil.zlinalg import (
     lattice_chain,
 )
 
-from oracles import random_unimodular, with_alarm
+from oracles import random_unimodular, unit_kronecker_product, with_alarm
 
 M = IntMatrix.from_rows
 
@@ -743,6 +743,37 @@ class TestClassifyGeneral:
             for w in v.witnesses:
                 assert w.anchor == ANCHORS[w.criterion]
                 assert w.evidence
+
+    def test_caps_checked_before_char_poly(self):
+        # the 64x64 product is over the side cap at the default K = 3;
+        # char(A) and its factors, formed before the caps, ran past 60 s
+        A = M(unit_kronecker_product(range(3, 9)))
+        with pytest.raises(SizeCapExceeded, match=r"^Kronecker power side 64\^3 exceeds cap 4096$"):
+            with_alarm(5, lambda: classify_general(A))
+
+    def test_caps_checked_before_the_graded_factors(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("worked on an input over the caps")
+
+        monkeypatch.setattr(criteria, "_GradedFactors", refuse)
+        monkeypatch.setattr(criteria, "classify_f2", refuse)
+        # det(A - E) = -3 at rank 20, so no fiber; 20^3 > 4096
+        A = companion(IntPoly([-1, -3] + [0] * 18 + [1]))
+        with pytest.raises(SizeCapExceeded, match=r"^Kronecker power side 20\^3 exceeds cap 4096$"):
+            classify_general(A)
+        with pytest.raises(SizeCapExceeded, match=r"^Kronecker power side 2\^13 exceeds cap 4096$"):
+            classify_general(M([[2, 1], [1, 1]]), tensor_bound=13)
+
+    def test_non_integral_entries_refused(self):
+        # 1.9 used to be stored as 1: a proven verdict about [[1,1],[0,1]]
+        with pytest.raises(TypeError, match=r"^non-integer value 1\.9$"):
+            classify_general(M([[1.9, 1], [0, 1]]))
+
+    def test_bound_checked_before_the_primes(self):
+        with pytest.raises(ValueError, match="^bound K must be at least 1$"):
+            classify_general(M([[2, 1], [1, 1]]), tensor_bound=0, primes=[4])
+        with pytest.raises(NotPrime):
+            classify_general(M([[2, 1], [1, 1]]), primes=[4])
 
 
 class TestClassifyFamily:

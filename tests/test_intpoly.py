@@ -7,7 +7,9 @@ import random
 import pytest
 
 import resnil.intpoly as intpoly
+from resnil.criteria import LcsLength, Verdict
 from resnil.errors import ZeroPolynomial
+from resnil.freegroup import FreeWord
 from resnil.intpoly import (
     FactorizationZ,
     IntPoly,
@@ -18,6 +20,7 @@ from resnil.intpoly import (
     squarefree_decomposition,
     try_exact_div,
 )
+from resnil.zlinalg import IntMatrix, SubLattice, lattice_contains
 
 from oracles import (
     brute_force_factor,
@@ -35,6 +38,31 @@ def rand_poly(rng, max_deg=4, lo=-30, hi=30, nonzero=False):
     if nonzero and p.is_zero():
         return IntPoly((1,))
     return p
+
+
+# each site stores the value it is given; what it keeps, as a function of
+# that value
+_STORED = {
+    "IntPoly": lambda v: IntPoly([1, v]).coeffs[1],
+    "IntMatrix": lambda v: IntMatrix.from_rows([[v, 1], [0, 1]]).entries[0],
+    "FreeWord": lambda v: FreeWord(2, [(1, v)]).syllables[0][1],
+    "lattice_contains": lambda v: lattice_contains(
+        SubLattice.from_generators(IntMatrix.from_rows([[2]])), [v]
+    ),
+    # a prime 1 is kept as 1 and then refused by the verdict's prime check
+    "Verdict": lambda v: Verdict(
+        True, False, ((v, True),), LcsLength.OMEGA, ()
+    ).residually_p_finite[0][0],
+}
+
+
+def _outcome(store, value):
+    # what store(value) keeps, with its type, or the error it raises
+    try:
+        kept = store(value)
+    except Exception as e:
+        return type(e), str(e)
+    return type(kept), kept
 
 
 class TestConstruction:
@@ -55,13 +83,17 @@ class TestConstruction:
         assert not p.is_monic()
         assert IntPoly([5, 1]).is_monic()
 
-    def test_float_coefficients_rejected(self):
-        # lossy coercion must never pass silently
-        with pytest.raises(TypeError):
-            IntPoly([1, 0.5])
-
-    def test_integral_floats_accepted(self):
-        assert IntPoly([1.0, 2.0]).coeffs == (1, 2)
+    @pytest.mark.parametrize("site", sorted(_STORED))
+    def test_one_integer_rule(self, site):
+        # every stored value goes through intpoly._ints: an integral value
+        # of another type acts as its int, anything else is refused,
+        # never truncated (1.9 used to be stored as 1 outside IntPoly)
+        store = _STORED[site]
+        for bad in (1.9, "3", 0.5, float("nan"), None):
+            with pytest.raises(TypeError, match="^non-integer value "):
+                store(bad)
+        for value, as_int in ((2.0, 2), (True, 1)):
+            assert _outcome(store, value) == _outcome(store, as_int)
 
     def test_builders(self):
         assert IntPoly.const(4).coeffs == (4,)
