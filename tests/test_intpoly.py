@@ -83,6 +83,14 @@ class TestConstruction:
         assert not p.is_monic()
         assert IntPoly([5, 1]).is_monic()
 
+    def test_float_coefficients_rejected(self):
+        # lossy coercion must never pass silently
+        with pytest.raises(TypeError):
+            IntPoly([1, 0.5])
+
+    def test_integral_floats_accepted(self):
+        assert IntPoly([1.0, 2.0]).coeffs == (1, 2)
+
     @pytest.mark.parametrize("site", sorted(_STORED))
     def test_one_integer_rule(self, site):
         # every stored value goes through intpoly._ints: an integral value
