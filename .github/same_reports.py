@@ -26,7 +26,15 @@ through ``resnil.cli.main``, as ``perfbench/run.py`` runs it.  So do:
   the default K (exit 3, refused before char(A) is formed), the same
   for x^17 - x - 1, whose det(A - E) = +-1 decides it (exit 0) though
   17^3 passes the side cap, and [[2,1],[1,1]] at K = 13 (over the cap
-  at rank 2).
+  at rank 2);
+- matrix literals whose outcome rests on how the text is read: Python
+  literals that are not JSON (``True``, hex, a trailing comma, a
+  comment), JSON that is not a matrix (``NaN``, nests 200, 300 and
+  1100 deep), a leading newline (JSON accepts it, ``ast.literal_eval``
+  does not), an entry of 4301 decimal digits, and an entry of 3700 hex digits at
+  powers 1 and 3 (over the entry cap) and, in an involution, at power 2
+  (A^2 = E, so no cap is passed); and a ``--json`` job whose matrix
+  string carries a non-ASCII comment, echoed as a \\uXXXX escape.
 
 Prints a JSON map from job id to the sha256 of (exit code, stdout,
 stderr).  Two trees that print the same map give every job the same
@@ -141,6 +149,30 @@ def cap_order(workloads):
     yield "cap_order/rank_two/13", ["--matrix", "[[2,1],[1,1]]", "--tensor-bound", "13"]
 
 
+def literal_jobs():
+    # (name, argv, stdin): the jobs of the literal parser and the JSON echo
+    big = "0x" + "f" * 3700
+    for name, text in (
+        ("bool", "True"),
+        ("hex", "[[0x10,1],[1,0]]"),
+        ("trailing_comma", "[[1,2,],[3,4]]"),
+        ("nan", "[[NaN]]"),
+        ("decimal_4301", "[[1" + "0" * 4300 + ",1],[1,0]]"),
+        ("newline_indent", "\n  [[2,1],[1,1]]"),
+        ("comment", "[[2,1],[1,1]] # c"),
+    ):
+        yield f"literal/{name}", ["--matrix", text], ""
+    for depth in (200, 300, 1100):
+        yield f"literal/deep/{depth}", ["--matrix", "[" * depth + "]" * depth], ""
+    for power in ("1", "3"):
+        yield f"literal/hex_3700/{power}", ["--matrix", f"[[1,{big}],[0,1]]",
+                                            "--power", power], ""
+    yield "literal/hex_3700_involution/2", ["--matrix", f"[[1,{big}],[0,-1]]",
+                                            "--power", "2"], ""
+    yield "literal/json_non_ascii", ["--json"], json.dumps(
+        {"matrix": "[[2,1],[1,1]]  # \u00e9t\u00e9 \u2192 \U0001d4d0"})
+
+
 def extra_jobs(workloads):
     # (name, argv) of the jobs beyond the benchmark's
     for n, argv in rank_wall():
@@ -168,6 +200,8 @@ def main(src: str) -> dict:
     }
     for name, argv in extra_jobs(workloads):
         out[name] = fingerprint(cli, argv, "")
+    for name, argv, stdin in literal_jobs():
+        out[name] = fingerprint(cli, argv, stdin)
     for columns in WIDTHS:
         with terminal_width(columns):
             for argv in (["--help"], ["--power", "x"]):
