@@ -136,27 +136,35 @@ def _is_int(x) -> bool:
 # input parsing
 
 
+def _is_rows(data) -> bool:
+    # a nonempty list of rows of integers; IntMatrix checks the shape
+    rows = isinstance(data, (list, tuple)) and all(isinstance(r, (list, tuple)) for r in data)
+    return rows and bool(data) and all(_is_int(x) for r in data for x in r)
+
+
 def parse_matrix_literal(text) -> IntMatrix:
     """Bracketed row list, e.g. "[[1,1],[-1,0]]", or nested lists as-is.
 
-    The nested-list form is what a JSON job carries for its matrix.
+    The nested-list form is what a JSON job carries for its matrix.  Text
+    is read by ast.literal_eval, after json.loads (C speed) when it has no
+    line break, which JSON takes as whitespace and literal_eval may not:
+    rows of integers from JSON are what literal_eval would read.
     """
+    data = text
     if isinstance(text, str):
         try:
-            data = ast.literal_eval(text)
-        except (ValueError, SyntaxError):
-            raise ValueError(f"not a matrix literal: {text!r}")
-        except (RecursionError, MemoryError):
-            # the parser gives up on a deep enough expression either way
-            raise ValueError("matrix literal nested too deeply")
-    else:
-        data = text
-    if (
-        not isinstance(data, (list, tuple))
-        or not data
-        or not all(isinstance(r, (list, tuple)) for r in data)
-        or not all(_is_int(x) for r in data for x in r)
-    ):
+            data = json.loads(text) if "\n" not in text and "\r" not in text else None
+        except (ValueError, RecursionError):
+            data = None
+        if not _is_rows(data):
+            try:
+                data = ast.literal_eval(text)
+            except (ValueError, SyntaxError):
+                raise ValueError(f"not a matrix literal: {text!r}")
+            except (RecursionError, MemoryError):
+                # the parser gives up on a deep enough expression either way
+                raise ValueError("matrix literal nested too deeply")
+    if not _is_rows(data):
         raise ValueError("matrix literal must be a list of rows of integers")
     return IntMatrix.from_rows([list(r) for r in data])
 
@@ -348,6 +356,33 @@ def _report(
     return "\n".join(lines)
 
 
+def _json_text(value, newline: str = "\n") -> str:
+    """json.dumps(value, indent=2, sort_keys=True) for what a report
+    holds: str, int, bool, None, and lists and str-keyed dicts of them.
+    newline is a line break and the indent of the line value is on."""
+    if isinstance(value, str):
+        return _json_str(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        brackets = "{}"
+        parts = [_json_str(k) + ": " + _json_text(v, inner) for k, v in sorted(value.items())]
+    elif isinstance(value, (list, tuple)):
+        brackets = "[]"
+        parts = [_json_text(v, inner) for v in value]
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not parts:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(parts) + newline + brackets[1]
+
+
+_json_str = json.encoder.encode_basestring_ascii
+
+
 # ---------------------------------------------------------------------------
 # the runner
 
@@ -361,17 +396,18 @@ def _capped_power(A: IntMatrix, e: int) -> IntMatrix:
     """A^e by the one square-and-multiply; SizeCapExceeded as soon as a
     partial power A^i has an entry of more than _ENTRY_DIGITS digits."""
 
-    def mul(x, y):
-        (X, i), (Y, j) = x, y
-        Z = X * Y
+    def checked(Z, i):
         if max(map(abs, Z.entries)) >= _ENTRY_LIMIT:
             raise SizeCapExceeded(
-                f"entry of A^{i + j} exceeds cap {_ENTRY_DIGITS} decimal digits"
+                f"entry of A^{i} exceeds cap {_ENTRY_DIGITS} decimal digits"
             )
-        return Z, i + j
+        return Z, i
 
-    # A.power(0) checks that A is square and is the unit
-    return _power((A, 1), e, mul, (A.power(0), 0))[0]
+    # A.power(0) checks that A is square and is the unit; at an odd e
+    # _power takes A itself, with no product, so A is checked here
+    one = (A.power(0), 0)
+    base = checked(A, 1) if e & 1 else (A, 1)
+    return _power(base, e, lambda x, y: checked(x[0] * y[0], x[1] + y[1]), one)[0]
 
 
 def run(job: JobSpec) -> tuple[str, Verdict]:
@@ -435,7 +471,7 @@ def run(job: JobSpec) -> tuple[str, Verdict]:
             "matrices": [A.to_rows() for A in mats],
             "verdict": verdict.to_dict(),
         }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n", verdict
+        return _json_text(doc) + "\n", verdict
     return _report(source, mats, verdict, extra), verdict
 
 

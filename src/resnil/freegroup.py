@@ -63,6 +63,7 @@ class FreeWord:
     syllables: tuple[tuple[int, int], ...]
 
     def __init__(self, rank: int, syllables: Iterable[tuple[int, int]] = ()):
+        (rank,) = _ints((rank,))
         if rank < 1:
             raise RankMismatch(f"rank must be >= 1, got {rank}")
         pairs = tuple(syllables)
@@ -207,6 +208,7 @@ class FreeEndo:
     images: tuple[FreeWord, ...]
 
     def __init__(self, rank: int, images: Iterable[FreeWord]):
+        (rank,) = _ints((rank,))
         images = tuple(images)
         if len(images) != rank:
             raise RankMismatch(f"need {rank} images, got {len(images)}")

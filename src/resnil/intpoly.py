@@ -250,16 +250,16 @@ class IntPoly:
 
 def _power(base, e: int, mul, one):
     # base^e by square-and-multiply, for e >= 0 and any associative mul
-    # with unit one: a product per set bit of e, the first against one,
-    # and a squaring per further bit
-    out = one
+    # with unit one, returned only for e = 0: a squaring per bit of e
+    # after the first and a product per set bit after the lowest
+    out = None
     while e:
         if e & 1:
-            out = mul(out, base)
+            out = base if out is None else mul(out, base)
         e >>= 1
         if e:
             base = mul(base, base)
-    return out
+    return one if out is None else out
 
 
 def _coerce(p) -> IntPoly:

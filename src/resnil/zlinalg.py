@@ -51,6 +51,7 @@ class IntMatrix:
     entries: tuple[int, ...]
 
     def __init__(self, rows: int, cols: int, entries):
+        rows, cols = _ints((rows, cols))
         entries = tuple(_ints(entries))
         if rows < 0 or cols < 0 or len(entries) != rows * cols:
             raise DimensionMismatch(
@@ -212,16 +213,20 @@ def char_poly(M: IntMatrix) -> IntPoly:
     """Monic characteristic polynomial det(x*I - M).
 
     Newton's identities on the traces tr(M^j), j = 1..n; a division
-    that is not exact raises ArithmeticError.
+    that is not exact raises ArithmeticError.  Only M^1..M^h, h =
+    ceil(n/2), are formed: for j > h, tr(M^j) = tr(M^h M^(j-h)) is the
+    dot product of M^h's entries with those of M^(j-h) transposed.
     """
     if not M.is_square():
         raise NotSquare("characteristic polynomial needs a square matrix")
-    traces = []
-    N = M
-    for j in range(M.rows):
-        if j:
-            N = N * M
-        traces.append(N.trace())
+    n = M.rows
+    powers = [M] if n else []
+    while len(powers) < (n + 1) // 2:
+        powers.append(powers[-1] * M)
+    traces = [N.trace() for N in powers]
+    for N in powers[: n - len(powers)]:
+        flipped = itertools.chain.from_iterable(N.col(i) for i in range(n))
+        traces.append(sum(map(operator.mul, powers[-1].entries, flipped)))
     return from_power_sums(traces)
 
 

@@ -3,11 +3,13 @@ library.  Everything here is deliberately naive and shares no code
 with the package: factorization by divisor interpolation, Lyndon
 words by rotation minimality, determinants by Laplace expansion,
 Smith invariants by gcds of minors, lattice membership by rational
-elimination.  alarm and with_alarm bound the time a check may take,
+elimination, characteristic polynomials by Faddeev-LeVerrier, matrix
+literals by ast.literal_eval alone.  alarm and with_alarm bound the time a check may take,
 so that a hang fails the suite."""
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import itertools
 import math
@@ -266,6 +268,55 @@ def determinantal_divisors(M: IntMatrix) -> tuple[int, ...]:
                 g = math.gcd(g, laplace_det([[rows[i][j] for j in T] for i in S]))
         out.append(g)
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# characteristic polynomials by Faddeev-LeVerrier
+
+
+def faddeev_leverrier(rows: list[list[int]]) -> list[int]:
+    """Coefficients c_0, ..., c_n of det(x*I - A), lowest first:
+    M_k = A M_(k-1) + c_(n-k+1) I from M_0 = 0, and c_(n-k) =
+    -tr(A M_k) / k, each division exact."""
+    n = len(rows)
+    c = [0] * n + [1]
+    M = [[0] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        M = [
+            [sum(rows[i][t] * M[t][j] for t in range(n)) + c[n - k + 1] * (i == j)
+             for j in range(n)]
+            for i in range(n)
+        ]
+        tr = sum(rows[i][t] * M[t][i] for i in range(n) for t in range(n))
+        assert tr % k == 0
+        c[n - k] = -tr // k
+    return c
+
+
+# ---------------------------------------------------------------------------
+# matrix literals by ast.literal_eval alone
+
+
+def literal_eval_matrix(text) -> IntMatrix:
+    """The matrix ast.literal_eval reads from text, or the ValueError
+    (or IntMatrix's error) a literal that is no matrix ends in."""
+    if isinstance(text, str):
+        try:
+            data = ast.literal_eval(text)
+        except (ValueError, SyntaxError):
+            raise ValueError(f"not a matrix literal: {text!r}")
+        except (RecursionError, MemoryError):
+            raise ValueError("matrix literal nested too deeply")
+    else:
+        data = text
+    if (
+        not isinstance(data, (list, tuple))
+        or not data
+        or not all(isinstance(r, (list, tuple)) for r in data)
+        or not all(isinstance(x, int) and not isinstance(x, bool) for r in data for x in r)
+    ):
+        raise ValueError("matrix literal must be a list of rows of integers")
+    return IntMatrix.from_rows([list(r) for r in data])
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import argparse
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -14,6 +15,8 @@ from resnil.cli import (
     BuiltinExample,
     JobSpec,
     _build_parser,
+    _capped_power,
+    _json_text,
     builtin_examples,
     main,
     parse_endo_text,
@@ -23,8 +26,17 @@ from resnil.cli import (
 from resnil.criteria import Verdict, classify_general
 from resnil.errors import DimensionMismatch, NotPrime, WordSyntaxError
 from resnil.freegroup import abelianization_matrix, endo_power
+from resnil.zlinalg import IntMatrix
 
-from oracles import unit_kronecker_product, with_alarm
+from oracles import literal_eval_matrix, unit_kronecker_product, with_alarm
+
+
+def _outcome(f, arg):
+    # what f(arg) returns, or the type and text of the error it raises
+    try:
+        return f(arg)
+    except Exception as e:
+        return type(e), str(e)
 
 
 class TestInputParsing:
@@ -47,6 +59,98 @@ class TestInputParsing:
     def test_endo_text_bad_word(self):
         with pytest.raises(WordSyntaxError):
             parse_endo_text("a->$; b->a")
+
+
+class TestLiteralFastPath:
+    """parse_matrix_literal tries json.loads before ast.literal_eval; every
+    literal must end as it ends under literal_eval alone."""
+
+    PINNED = (
+        # JSON takes a line break as whitespace, literal_eval not always
+        "\n  [[2,1],[1,1]]", "[[2,1],[1,1]]\n", "\r[[1]]", "[[1],\n[2]]",
+        " [[1]]", "\t[[1, 2], [3, 4]]\t", "[[1]]  ", " \t [[1]]",
+        # Python literals that are not JSON, JSON values that are not rows
+        "True", "[[0x10,1],[1,0]]", "[[1,2,],[3,4]]", "[[2,1],[1,1]] # c",
+        "[[1_0]]", "[[+1]]", "[[- 1]]", "[(1,2)]", "((1,),)", "[[01]]",
+        "[[NaN]]", "[[Infinity]]", "[[1e3]]", "[[1.0]]", "[[true]]", "[[null]]",
+        '[["1"]]', "[[1]]\x00", "\ufeff[[1]]", "[[1]]\x0c", "\xa0[[1]]",
+        # shapes IntMatrix refuses, sizes and depths the parsers refuse
+        "[[1,2],[3]]", "[[]]", "[]", "[[-0]]", "[[1" + "0" * 4300 + "]]",
+        "[[" + "9" * 4300 + "]]", "[" * 200 + "]" * 200, "[" * 1100 + "]" * 1100,
+    )
+    TOKENS = (
+        "[", "]", ",", " ", "\t", "\n", "\r", "-", "+", "0", "7", "0x1f", "1_0",
+        ".5", "e3", "True", "true", "NaN", "null", "#", "'", '"', "(", ")", "\\",
+        "\x00", "\xe9", "\ufeff", "\x0c", "[[", "]]",
+    )
+
+    def test_pinned_literals(self):
+        for text in self.PINNED:
+            assert _outcome(parse_matrix_literal, text) == _outcome(literal_eval_matrix, text)
+
+    def test_fuzzed_literals(self):
+        rng = random.Random(22)
+        for _ in range(20000):
+            n = rng.randint(1, 3)
+            rows = [[rng.choice((0, 1, -1, 7, 2**70, -(10**30))) for _ in range(n)]
+                    for _ in range(rng.choice((n, n, 1)))]
+            text = json.dumps(rows, separators=(rng.choice((",", ", ", " ,")), ":"))
+            # leading whitespace: an indent after a line break is refused
+            text = "".join(rng.choice(" \t\n\r") for _ in range(rng.choice((0, 0, 1, 3)))) + text
+            for _ in range(rng.randint(0, 3)):
+                i = rng.randint(0, len(text))
+                j = i + rng.choice((0, 0, 1))
+                text = text[:i] + rng.choice(self.TOKENS) + text[j:]
+            assert _outcome(parse_matrix_literal, text) == _outcome(literal_eval_matrix, text)
+
+
+class TestJsonWriter:
+    """_json_text prints what json.dumps(indent=2, sort_keys=True) prints."""
+
+    CHARS = (
+        "a", "Z", " ", '"', "\\", "/", "\b", "\f", "\n", "\r", "\t", "\x00",
+        "\x1f", "\x7f", "\xe9", "\u2028", "\ud800", "\udfff", "\U0001d4d0",
+        "\ufeff",
+    )
+
+    def rand_str(self, rng):
+        return "".join(rng.choice(self.CHARS) for _ in range(rng.randint(0, 5)))
+
+    def rand_doc(self, rng, depth):
+        kind = rng.randrange(8 if depth else 5)
+        if kind == 0:
+            return self.rand_str(rng)
+        if kind == 1:
+            return rng.choice((0, -1, 1, 255, 2**63)) * rng.choice((1, -1))
+        if kind == 2:
+            return rng.choice((1, -1)) * rng.randint(0, 10 ** rng.randint(20, 4000))
+        if kind == 3:
+            return rng.choice((True, False, None))
+        if kind == 4:
+            return rng.choice(({}, [], ()))
+        items = [self.rand_doc(rng, depth - 1) for _ in range(rng.randint(0, 4))]
+        if kind == 5:
+            return {self.rand_str(rng): v for v in items}
+        return items if kind == 6 else tuple(items)
+
+    def test_matches_json_dumps(self):
+        rng = random.Random(20)
+        for _ in range(5000):
+            doc = self.rand_doc(rng, 4)
+            assert _json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+    def test_refuses_what_a_report_never_holds(self):
+        for value in (1.5, [float("nan")], {"a": object()}):
+            with pytest.raises(TypeError, match="is not JSON serializable$"):
+                _json_text(value)
+
+    def test_non_ascii_matrix_echo(self, monkeypatch, capsys):
+        doc = {"matrix": "[[2,1],[1,1]]  # \xe9t\xe9 \u2192 \U0001d4d0"}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        assert main(["--json"]) == 0
+        out = capsys.readouterr().out
+        assert '"matrix": "[[2,1],[1,1]]  # \\u00e9t\\u00e9 \\u2192 \\ud835\\udcd0"' in out
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 
 
 class TestJobSpec:
@@ -311,6 +415,25 @@ class TestExitCodes:
         # m(m-1)/2 passes 10^4300 at a partial power m of about 10^2150
         assert last.startswith("error: entry of A^")
         assert last.endswith(" exceeds cap 4300 decimal digits")
+
+    def test_first_power_takes_no_product(self, monkeypatch):
+        products = []
+        mul = IntMatrix.__mul__
+        monkeypatch.setattr(IntMatrix, "__mul__", lambda X, Y: products.append(1) or mul(X, Y))
+        A = IntMatrix.from_rows([[2, 1], [1, 1]])
+        assert _capped_power(A, 1) is A
+        assert products == []
+
+    def test_entry_cap_on_the_action_itself(self, capsys):
+        # a hex literal passes the 4300-digit limit of int() on text; at an
+        # odd power A itself is checked, at an even one its square
+        big = "0x" + "f" * 3700
+        assert main(["--matrix", f"[[1,{big}],[0,1]]"]) == 3
+        assert main(["--matrix", f"[[1,{big}],[0,1]]", "--power", "3"]) == 3
+        assert main(["--matrix", f"[[1,{big}],[0,-1]]", "--power", "2"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "error: entry of A^1 exceeds cap 4300 decimal digits\n" * 2
+        assert "action matrix A:\n    [1, 0]\n    [0, 1]\n" in captured.out
 
     def test_power_with_printable_entries_ends(self, capsys):
         # linear growth: the largest entry of A^m is m (or 2m)

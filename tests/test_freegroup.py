@@ -29,9 +29,9 @@ from oracles import with_alarm
 
 
 def square_and_multiply_count(e):
-    # a product per set bit, the first against the identity, and a
-    # squaring per further bit
-    return e.bit_length() - 1 + bin(e).count("1") if e else 0
+    # a squaring per bit after the first and a product per set bit after
+    # the lowest: none against the identity
+    return e.bit_length() - 1 + bin(e).count("1") - 1 if e else 0
 
 
 def rand_word(rng, rank, syllables=6):

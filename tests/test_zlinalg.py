@@ -29,6 +29,7 @@ from resnil.zlinalg import (
 
 from oracles import (
     determinantal_divisors,
+    faddeev_leverrier,
     laplace_det,
     member_by_elimination,
     random_unimodular,
@@ -111,8 +112,9 @@ class TestIntMatrix:
         for e in range(41):
             products.clear()
             assert A.power(e) == expect
-            # a product per set bit and a squaring per further bit, no more
-            assert len(products) == (e.bit_length() - 1 + bin(e).count("1") if e else 0)
+            # a squaring per bit after the first and a product per set bit
+            # after the lowest, no more
+            assert len(products) == (e.bit_length() - 1 + bin(e).count("1") - 1 if e else 0)
             expect = mul(expect, A)
 
     def test_mod_and_minus_identity(self):
@@ -178,6 +180,24 @@ class TestCharPoly:
 
     def test_empty_matrix(self):
         assert char_poly(IntMatrix(0, 0, [])) == IntPoly([1])
+
+    def test_against_faddeev_leverrier(self):
+        # the traces past M^ceil(n/2) are dot products of two formed powers
+        rng = random.Random(71)
+        for n in range(13):
+            for bound in (1, 9, 2**64):
+                M = rand_matrix(rng, n, -bound, bound)
+                assert list(char_poly(M).coeffs) == faddeev_leverrier(M.to_rows())
+
+    def test_forms_half_the_powers(self, monkeypatch):
+        products = []
+        mul = IntMatrix.__mul__
+        monkeypatch.setattr(IntMatrix, "__mul__", lambda X, Y: products.append(1) or mul(X, Y))
+        rng = random.Random(73)
+        for n in range(10):
+            products.clear()
+            char_poly(rand_matrix(rng, n))
+            assert len(products) == max((n + 1) // 2 - 1, 0)
 
 
 class TestKroneckerPower:
