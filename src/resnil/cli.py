@@ -146,17 +146,19 @@ def parse_matrix_literal(text) -> IntMatrix:
     """Bracketed row list, e.g. "[[1,1],[-1,0]]", or nested lists as-is.
 
     The nested-list form is what a JSON job carries for its matrix.  Text
-    is read by ast.literal_eval, after json.loads (C speed) when it has no
-    line break, which JSON takes as whitespace and literal_eval may not:
-    rows of integers from JSON are what literal_eval would read.
+    goes to ast.literal_eval unless json.loads (C speed) reads rows of
+    integers from it, which literal_eval would read the same; text with
+    a line break, JSON whitespace that literal_eval may refuse, skips it.
     """
-    data = text
-    if isinstance(text, str):
+    data = None
+    if isinstance(text, str) and "\n" not in text and "\r" not in text:
         try:
-            data = json.loads(text) if "\n" not in text and "\r" not in text else None
+            data = json.loads(text)
         except (ValueError, RecursionError):
-            data = None
-        if not _is_rows(data):
+            pass
+    if not _is_rows(data):
+        data = text
+        if isinstance(text, str):
             try:
                 data = ast.literal_eval(text)
             except (ValueError, SyntaxError):
@@ -164,8 +166,8 @@ def parse_matrix_literal(text) -> IntMatrix:
             except (RecursionError, MemoryError):
                 # the parser gives up on a deep enough expression either way
                 raise ValueError("matrix literal nested too deeply")
-    if not _is_rows(data):
-        raise ValueError("matrix literal must be a list of rows of integers")
+        if not _is_rows(data):
+            raise ValueError("matrix literal must be a list of rows of integers")
     return IntMatrix.from_rows([list(r) for r in data])
 
 
@@ -357,27 +359,26 @@ def _report(
 
 
 def _json_text(value, newline: str = "\n") -> str:
-    """json.dumps(value, indent=2, sort_keys=True) for what a report
-    holds: str, int, bool, None, and lists and str-keyed dicts of them.
+    """json.dumps(value, indent=2, sort_keys=True) for the exact types a
+    report holds: str, int, bool, None, lists and str-keyed dicts.
     newline is a line break and the indent of the line value is on."""
-    if isinstance(value, str):
+    kind = type(value)
+    if kind is str:
         return _json_str(value)
+    if kind is int:
+        return int.__repr__(value)
     if value is None or value is True or value is False:
         return "null" if value is None else "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
     inner = newline + "  "
-    if isinstance(value, dict):
-        brackets = "{}"
+    if kind is dict and value:
         parts = [_json_str(k) + ": " + _json_text(v, inner) for k, v in sorted(value.items())]
-    elif isinstance(value, (list, tuple)):
-        brackets = "[]"
+        return "{" + inner + ("," + inner).join(parts) + newline + "}"
+    if kind is list and value:
         parts = [_json_text(v, inner) for v in value]
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    if not parts:
-        return brackets
-    return brackets[0] + inner + ("," + inner).join(parts) + newline + brackets[1]
+        return "[" + inner + ("," + inner).join(parts) + newline + "]"
+    if kind is dict or kind is list:
+        return "{}" if kind is dict else "[]"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 _json_str = json.encoder.encode_basestring_ascii
