@@ -34,7 +34,13 @@ through ``resnil.cli.main``, as ``perfbench/run.py`` runs it.  So do:
   does not), an entry of 4301 decimal digits, and an entry of 3700 hex digits at
   powers 1 and 3 (over the entry cap) and, in an involution, at power 2
   (A^2 = E, so no cap is passed); and a ``--json`` job whose matrix
-  string carries a non-ASCII comment, echoed as a \\uXXXX escape.
+  string carries a non-ASCII comment, echoed as a \\uXXXX escape;
+- Galois groups below S_n and products of blocks: seeded conjugates of
+  the unit cubics with group A_3 at K = 3..6 and of unit quartics with
+  groups C_4, V_4, D_4, A_4 and S_4 at K = 3 and 4, and seeded block
+  upper triangular actions of rank 6..11 with two or three nonlinear
+  blocks (S_5 with S_6, f with f(-x), A_3 with S_3, equal degrees, a
+  block of multiplicity 2), at K = 3 and at K = 4 with ``--cap 100000``.
 
 Prints a JSON map from job id to the sha256 of (exit code, stdout,
 stderr).  Two trees that print the same map give every job the same
@@ -149,6 +155,61 @@ def cap_order(workloads):
     yield "cap_order/rank_two/13", ["--matrix", "[[2,1],[1,1]]", "--tensor-bound", "13"]
 
 
+# unit cubics with group A_3 (x^3 - 3x -+ 1, x^3 +- x^2 - 2x -+ 1) and
+# unit quartics with groups C_4, V_4, D_4, A_4 and S_4, by sympy's
+# galois_group, as [c_0, ..., c_(n-1)]
+A3_CUBICS = ([-1, -3, 0], [1, -3, 0], [-1, -2, 1], [1, -2, -1])
+QUARTICS = ([1, 1, -4, -4], [1, 4, -4, -4], [1, -4, -4, -4], [1, 2, 3, -3], [-1, -4, -4, -4])
+# diagonal blocks of the block actions, in the same form: S_5 + S_6,
+# S_5 + S_5, f with f(-x) at degrees 3, 4 and 5, A_3 + S_3, S_4 + S_4,
+# S_3 + A_3 + S_4, S_3 + S_3 + S_4, an S_3 block of multiplicity 2, C_4,
+# D_4 and V_4 beside symmetric blocks, and blocks among +-1 entries
+BLOCK_SETS = (
+    ([1, -5, 0, 0, 0], [1, -5, 0, 0, 0, 0]),
+    ([-1, -1, 0, 0, 0], [1, -5, 0, 0, 0]),
+    ([1, -5, 0], [-1, -5, 0]),
+    ([1, -5, 0, 0], [1, 5, 0, 0]),
+    ([1, -5, 0, 0, 0], [-1, -5, 0, 0, 0]),
+    ([-1, -3, 0], [1, -5, 0]),
+    ([1, -5, 0, 0], [-1, -1, 0, 0]),
+    ([1, -5, 0], [-1, -3, 0], [1, -5, 0, 0]),
+    ([1, -5, 0], [-1, -1, 0], [1, -5, 0, 0]),
+    ([1, -5, 0], [1, -5, 0], [1, -5, 0, 0]),
+    ([1, 1, 1, 1], [1, -5, 0]),
+    ([-1, 0, -1, 0], [1, -5, 0, 0]),
+    ([1, 4, -4, -4], [-1, 1, 0], [1]),
+    ([1, -5, 0], [-1], [-1, -1, 0, 0], [1]),
+    ([1, -5, 0], [-1, -1, 0], [1, -3, 0]),
+)
+
+
+def galois_jobs(workloads):
+    # (name, argv): the A_3 cubics, the quartics and the block actions
+    rng = random.Random(23)
+    for i, c in enumerate(A3_CUBICS):
+        for K in range(3, 7):
+            A = workloads.conjugate(rng, workloads.companion(c))
+            yield f"galois/a3/{i}/{K}", ["--matrix", workloads.lit(A), "--tensor-bound", str(K)]
+    for i, c in enumerate(QUARTICS):
+        for K in (3, 4):
+            A = workloads.conjugate(rng, workloads.companion(c))
+            yield f"galois/quartic/{i}/{K}", ["--matrix", workloads.lit(A),
+                                              "--tensor-bound", str(K)]
+    for i, blocks in enumerate(BLOCK_SETS):
+        n = sum(map(len, blocks))
+        rows = [[0] * n for _ in range(n)]
+        start = 0
+        for c in blocks:
+            for r, row in enumerate(workloads.companion(c)):
+                rows[start + r][start:] = row + [rng.randint(-1, 1)
+                                                 for _ in range(n - start - len(c))]
+            start += len(c)
+        for K in (3, 4):
+            cap = ["--cap", "100000"] if K == 4 else []
+            yield f"galois/blocks/{i}/{K}", ["--matrix", workloads.lit(rows),
+                                             "--tensor-bound", str(K)] + cap
+
+
 def literal_jobs():
     # (name, argv, stdin): the jobs of the literal parser and the JSON echo
     big = "0x" + "f" * 3700
@@ -185,6 +246,7 @@ def extra_jobs(workloads):
             yield f"rank_two/{i}/{K}", ["--matrix", json.dumps(A).replace(" ", ""),
                                         "--tensor-bound", str(K)]
     yield from cap_order(workloads)
+    yield from galois_jobs(workloads)
 
 
 def main(src: str) -> dict:
