@@ -35,6 +35,9 @@ from .errors import (
 )
 from .intpoly import (
     IntPoly,
+    _frobenius_cycles,
+    _has_integer_root,
+    _integer_roots,
     _ints,
     factor_over_Z,
     from_power_sums,
@@ -90,13 +93,19 @@ __all__ = [
 # input checks
 
 
+class _Checked(tuple):
+    """Primes, or a verdict's (prime, value) pairs, that passed is_prime."""
+
+
 def _validated_primes(primes: Iterable[int]) -> tuple[int, ...]:
+    if type(primes) is _Checked:
+        return primes
     out = []
     for p in primes:
         if not is_prime(p):
             raise NotPrime(f"{p} is not prime")
         out.append(p)
-    return tuple(sorted(set(out)))
+    return _Checked(sorted(set(out)))
 
 
 def _require_square(A: IntMatrix) -> None:
@@ -263,10 +272,11 @@ class Verdict:
     def __post_init__(self):
         pairs = tuple(self.residually_p_finite)
         primes = _ints(p for p, _ in pairs)
-        entries = tuple(sorted(zip(primes, (v for _, v in pairs)), key=lambda t: t[0]))
-        for p, _ in entries:
-            if not is_prime(p):
-                raise ValueError(f"p-finite entry at non-prime {p}")
+        entries = _Checked(sorted(zip(primes, (v for _, v in pairs)), key=lambda t: t[0]))
+        if type(self.residually_p_finite) is not _Checked:
+            for p, _ in entries:
+                if not is_prime(p):
+                    raise ValueError(f"p-finite entry at non-prime {p}")
         if len(dict(entries)) != len(entries):
             raise ValueError("duplicate prime entries")
         object.__setattr__(self, "residually_p_finite", entries)
@@ -467,6 +477,26 @@ def _dual(mu: tuple[int, ...], n: int) -> tuple[int, ...]:
     return (t,) * (n - len(mu)) + tuple(t - c for c in reversed(mu) if c != t)
 
 
+def _cyclic_pair(P: IntPoly, c: int) -> Optional[tuple[IntPoly, IntPoly]]:
+    # the sextic P as (x^3 + a x^2 + b x + c)(x^3 + d x^2 + e x + c), both
+    # without the root +-1, hence irreducible, or None: b + e = c p1; a, d
+    # are the roots of t^2 - p5 t + p4 - c p1; p3 = 2c + a(b + e) + b(d - a)
+    # gives b, or for a = d, b and e are the roots of t^2 - (b + e) t + p2 - 2ac
+    _, p1, p2, p3, p4, p5, _ = P.coeffs
+    s = c * p1
+    ad = _integer_roots(p5, p4 - s)
+    if ad and ad[0] != ad[1]:
+        b, rest = divmod(p3 - 2 * c - ad[0] * s, ad[1] - ad[0])
+        be = None if rest else (b, s - b)
+    else:
+        be = ad and _integer_roots(s, p2 - 2 * ad[0] * c)
+    if not be:
+        return None
+    pair = IntPoly((c, be[0], ad[0], 1)), IntPoly((c, be[1], ad[1], 1))
+    ok = pair[0] * pair[1] == P and all(Q.evaluate(r) for Q in pair for r in (1, -1))
+    return pair if ok else None
+
+
 def _moved(g: IntPoly, s: int, inverted: bool = False) -> IntPoly:
     # the monic polynomial whose roots are s * b, or s / b when inverted,
     # over the roots b of the monic g; s = +-1, and g(0) = +-1 when inverted
@@ -512,18 +542,24 @@ class _GradedFactors:
     multiply the root by r^|nu|, and do not fit when len(nu) > e.  A
     deal to linear blocks only gives x - s, s the product of the signs;
     one that reaches one nonlinear block f gives the factors of f's
-    local orbit polynomial, roots times s; only one that reaches two or
-    more builds their combined piece (power sums: the products of the
-    blocks' orbit power sums) and factors it.  Factors are kept per
-    (f, nu) key for the classification.
+    local orbit polynomial, roots times s; one that reaches two or more
+    gives those of their combined piece (power sums: the products of the
+    blocks' orbit power sums).  Factors are kept per (f, nu) key.
 
-    Per-block certificate: when f has multiplicity 1 and Galois group
-    S_n, S_n permutes the monomials of a local orbit polynomial
-    transitively, so one of degree above 4 that is squarefree mod one
-    of 3..13 is irreducible.  disc f = det(s_(i+j)), the Hankel matrix
-    of f's power sums: a square puts the group inside A_n; for n = 3 a
-    non-square one proves S_3 (an irreducible cubic has group A_3 or
-    S_3); from n = 4 has_symmetric_galois_group decides.
+    Per-block certificate: a block f of multiplicity 1 and degree n >= 3
+    has group S_n when disc f = det(s_(i+j)) (Hankel, of its power sums)
+    is not a square and n = 3, or n = 4 and the resolvent y^3 - c2 y^2 +
+    (c1 c3 - 4 c0) y - (c3^2 c0 - 4 c2 c0 + c1^2) has no integer root
+    (Kappe and Warren 1989), or has_symmetric_galois_group.  G =
+    Gal(prod f_j) of certified blocks maps onto each S_(n_j); a Frobenius
+    with one part 2 and otherwise odd parts on f_j, odd parts elsewhere,
+    has an odd power (t, 1..1), t a transposition, whose conjugates give
+    S_(n_j) x 1 in G.  One such prime per j among the first 4 deg(prod
+    f_j) (none for one block) proves G = prod S_(n_j), transitive on the
+    monomials of a piece: one of degree above 4 that is squarefree mod
+    one of 3..13 is irreducible.  A cubic with a square discriminant has
+    group C_3, whose orbits split a degree-6 local piece into cubics with
+    constant term -e3^|nu|, e3 = -f(0) (_cyclic_pair).
     """
 
     def __init__(self, A: IntMatrix):
@@ -533,6 +569,8 @@ class _GradedFactors:
         self._blocks: Optional[dict] = None  # f_j -> e_j, char(A) = prod f_j^e_j
         self._block_traces: dict[IntPoly, list[int]] = {}
         self._symmetric: dict[IntPoly, bool] = {}
+        self._cyclic: set[IntPoly] = set()  # cubic blocks of group A_3
+        self._products: dict[tuple, bool] = {}
         self._local: dict[tuple, tuple[IntPoly, ...]] = {}
         self._irreducibles: dict[tuple, tuple[IntPoly, ...]] = {}
 
@@ -581,11 +619,13 @@ class _GradedFactors:
         # local monomial of nu per nonlinear block f, over (f, nu) in key
         if key not in self._local:
             P = self._piece(key)
-            (f, _), *rest = key
-            if not rest and P.degree() > 4 and self._certified(f) and squarefree_mod_small_prime(P):
-                self._local[key] = (P,)
-            else:
-                self._local[key] = tuple(g for g, _ in factor_over_Z(P).factors)
+            fs = tuple(f for f, _ in key)
+            found = None
+            if P.degree() > 4 and self._symmetric_product(fs) and squarefree_mod_small_prime(P):
+                found = (P,)
+            elif len(key) == 1 and P.degree() == 6 and fs[0] in self._cyclic:
+                found = _cyclic_pair(P, -(-fs[0].constant()) ** sum(key[0][1]))
+            self._local[key] = found or tuple(g for g, _ in factor_over_Z(P).factors)
         return self._local[key]
 
     def _piece(self, key: tuple) -> IntPoly:
@@ -617,10 +657,32 @@ class _GradedFactors:
             if ok:
                 s = [n] + self._block_sums(f, 2 * n - 2)
                 disc = determinant(IntMatrix.from_rows(s[i : i + n] for i in range(n)))
-                square = disc > 0 and math.isqrt(disc) ** 2 == disc
-                ok = not square and (n == 3 or has_symmetric_galois_group(f))
+                # a square disc, or a reducible resolvent: below S_n
+                smaller = disc > 0 and math.isqrt(disc) ** 2 == disc
+                if n == 3 and smaller:
+                    self._cyclic.add(f)
+                if n == 4 and not smaller:
+                    c0, c1, c2, c3, _ = f.coeffs
+                    r0 = c3 * c3 * c0 - 4 * c2 * c0 + c1 * c1
+                    smaller = _has_integer_root(IntPoly((-r0, c1 * c3 - 4 * c0, -c2, 1)))
+                ok = not smaller and (n <= 4 or has_symmetric_galois_group(f))
             self._symmetric[f] = ok
         return self._symmetric[f]
+
+    def _symmetric_product(self, fs: tuple) -> bool:
+        # Gal(prod fs) = prod S_(n_j), by the scan in the docstring
+        if fs not in self._products:
+            ok = all(map(self._certified, fs))
+            pending = set(range(len(fs))) if ok and len(fs) > 1 else set()
+            for types in _frobenius_cycles(fs, 4 * sum(f.degree() for f in fs)) if pending else ():
+                evens = [[d for d in t if d % 2 == 0] for t in types]
+                hit = [j for j, e in enumerate(evens) if e]
+                if len(hit) == 1 and evens[hit[0]] == [2]:
+                    pending.discard(hit[0])
+                if not pending:
+                    break
+            self._products[fs] = ok and not pending
+        return self._products[fs]
 
     def level(self, k: int, lie: bool) -> AfResult:
         """Factor values of the tensor level k, or with lie of L_k."""
@@ -852,7 +914,8 @@ def _verdict(
         for p in req:
             values.setdefault(p, True if all_primes else None)
 
-    return Verdict(resnil, all_primes, tuple(values.items()), lcs, witnesses)
+    # req passed _validated_primes; proven holds primes by construction
+    return Verdict(resnil, all_primes, _Checked(values.items()), lcs, witnesses)
 
 
 def classify_f2(A: IntMatrix, primes: Iterable[int] = ()) -> Verdict:

@@ -39,17 +39,11 @@ the factors of char(A) (criteria._GradedFactors), of degree at most
 n!/((n-len(mu))! prod m_i!), never a characteristic polynomial of
 degree n^k.
 
-has_symmetric_galois_group certifies that the Galois group of a monic
-irreducible f of degree n >= 3 is S_n from the factor patterns of f
-modulo the first 4n odd primes at which f stays squarefree: by
-Dedekind's theorem each pattern is the cycle type of a Frobenius
-element, a pattern 1 + (n - 1) makes the group primitive, a pattern
-with one part 2 and every other part odd gives a transposition, and a
-primitive group containing a transposition is S_n (Jordan).  Without
-both patterns it returns False and the caller factors as before.
-criteria uses it per block of char(A), behind a discriminant test, and
-checks the local orbit polynomials of a certified block only for
-squarefreeness (squarefree_mod_small_prime).
+has_symmetric_galois_group certifies Gal(f) = S_n from the cycle types
+of Frobenius elements (_frobenius_cycles, which criteria also scans
+for products of blocks); _has_integer_root decides the resolvent cubic
+of a quartic.  criteria checks an orbit polynomial whose roots such a
+group permutes transitively only for squarefreeness.
 
 factor_over_Z checks its result at one integer X, larger than twice
 every coefficient of both sides, rather than by expanding the product.
@@ -705,6 +699,13 @@ def _factor_quadratic(f: IntPoly) -> list[tuple[IntPoly, int]]:
     return [(IntPoly((b + t, 2 * a)).primitive_positive()[2], 1) for t in (-s, s)]
 
 
+def _integer_roots(S: int, T: int) -> tuple[int, int] | None:
+    # the integer roots of t^2 - S t + T, or None
+    disc = S * S - 4 * T
+    r = math.isqrt(disc) if disc >= 0 else -1
+    return ((S - r) // 2, (S + r) // 2) if r * r == disc else None
+
+
 def _factor_zassenhaus(f: IntPoly) -> list[tuple[IntPoly, int]]:
     # f primitive with positive leading coefficient.  f squarefree mod a
     # prime not dividing lc(f) is squarefree over Z, which spares Yun's
@@ -739,14 +740,13 @@ def _factor_quartic(f: IntPoly) -> list[tuple[IntPoly, int]]:
         if (c3 + c1) % 2 == 0 and a * c == c2:
             return [(IntPoly((1, a, 1)), 1), (IntPoly((-1, c, 1)), 1)]
         return [(f, 1)]
-    # b = d: a + c = c3, ac = c2 - 2b, c1 = b*c3, so a and c are the roots
-    # (c3 -+ s)/2 of t^2 - c3 t + c2 - 2b, s^2 its discriminant
+    # b = d: a + c = c3, ac = c2 - 2b, c1 = b*c3, so a and c are the
+    # roots of t^2 - c3 t + c2 - 2b
     for b in (1, -1):
-        disc = c3 * c3 - 4 * (c2 - 2 * b)
-        s = math.isqrt(max(disc, 0))
-        if c1 != b * c3 or s * s != disc:
+        roots = _integer_roots(c3, c2 - 2 * b)
+        if c1 != b * c3 or roots is None:
             continue
-        a, c = (c3 - s) // 2, (c3 + s) // 2
+        a, c = roots
         if a == c:
             return [(IntPoly((b, a, 1)), 2)]
         return [(IntPoly((b, a, 1)), 1), (IntPoly((b, c, 1)), 1)]
@@ -813,33 +813,53 @@ def has_symmetric_galois_group(f: IntPoly) -> bool:
     """True when the factor patterns of f modulo small primes prove that
     the Galois group G of f is the full symmetric group S_n.
 
-    f must be monic and irreducible over Z, of degree n >= 3, so that G
-    is transitive on its roots.  At a prime p that does not divide
-    disc f, the degrees of the irreducible factors of f mod p are the
-    cycle lengths of a Frobenius element of G (Dedekind; van der
-    Waerden, Algebra I, section 66).  A pattern 1 + (n - 1) fixes one
-    root and is transitive on the others, so G is 2-transitive and hence
-    primitive; a pattern with exactly one part 2 and every other part odd
-    has a transposition among its powers.  A primitive group that
-    contains a transposition is S_n (Jordan; Wielandt, Finite Permutation
-    Groups, 1964, Thm 13.3).  The first 4n odd primes at which f stays
-    squarefree are scanned; False means that they gave no certificate,
-    not that G is smaller.  Raises ValueError unless f is monic of
-    degree at least 3.
+    f must be monic and irreducible over Z, of degree n >= 3.  At a
+    prime p not dividing disc f, the degrees of the factors of f mod p
+    are the cycle lengths of a Frobenius element of G (Dedekind; van der
+    Waerden, Algebra I, section 66).  A pattern 1 + (n - 1) makes G
+    2-transitive, hence primitive; a pattern with exactly one part 2 and
+    every other part odd has a transposition among its powers; and a
+    primitive group with a transposition is S_n (Jordan; Wielandt,
+    Finite Permutation Groups, 1964, Thm 13.3).  The first 4n odd primes
+    at which f stays squarefree are scanned; False means no certificate,
+    not that G is smaller.  ValueError unless f is monic of degree >= 3.
     """
     n = f.degree()
     if n < 3 or not f.is_monic():
         raise ValueError(f"need a monic polynomial of degree >= 3, got {f}")
     primitive = transposition = False
-    for p in itertools.islice(_squarefree_primes(f), 4 * n):
-        pattern = sorted(
-            d
-            for g, d in _distinct_degree([c % p for c in f.coeffs], p)
-            for _ in range((len(g) - 1) // d)
-        )
+    for (pattern,) in _frobenius_cycles((f,), 4 * n):
         primitive |= pattern == [1, n - 1]
         transposition |= pattern.count(2) == 1 and all(d % 2 for d in pattern if d != 2)
         if primitive and transposition:
+            return True
+    return False
+
+
+def _frobenius_cycles(fs: tuple, count: int):
+    # at each of the first `count` odd primes p at which the product of the
+    # monic fs stays squarefree, the sorted degrees of the factors of each f
+    # mod p: the cycle types of a Frobenius element on its roots (Dedekind)
+    h = math.prod(fs, start=IntPoly.const(1))
+    for p in itertools.islice(_squarefree_primes(h), count):
+        yield [sorted(d for g, d in _distinct_degree([c % p for c in f.coeffs], p)
+                      for _ in range((len(g) - 1) // d)) for f in fs]
+
+
+def _has_integer_root(g: IntPoly) -> bool:
+    # whether the monic cubic x^3 + a x^2 + b x + r, whose roots lie in
+    # (-B, B) (Cauchy), has an integer root, by bisection: it rises on the
+    # integers to m1 - 1, falls on m1 + 1 .. m2 and rises from m2 + 1, m1
+    # and m2 the floors of (-a -+ isqrt(D))/3 when D = a^2 - 3b > 0
+    _, b, a, _ = g.coeffs
+    B = 1 + max(map(abs, g.coeffs))
+    D = a * a - 3 * b
+    m1, m2 = ((-a - math.isqrt(D)) // 3, (-a + math.isqrt(D)) // 3) if D > 0 else (0, 0)
+    for lo, hi, sign in ((-B, m1 - 1, 1), (m1, m1, 1), (m1 + 1, m2, -1), (m2 + 1, B, 1)):
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (mid + 1, hi) if sign * g.evaluate(mid) < 0 else (lo, mid)
+        if lo == hi and g.evaluate(lo) == 0:
             return True
     return False
 

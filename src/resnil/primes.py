@@ -35,6 +35,8 @@ def is_prime(p: int) -> bool:
     for q in _MR_BASES:
         if p % q == 0:
             return p == q
+    if p < 43 * 43:  # no prime factor up to 41, so none up to sqrt(p)
+        return True
     d = p - 1
     r = 0
     while d % 2 == 0:

@@ -9,6 +9,7 @@ transforms, and sublattice membership.  No floating point anywhere.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 import operator
@@ -165,7 +166,11 @@ class IntMatrix:
     def minus_identity(self) -> "IntMatrix":
         if not self.is_square():
             raise NotSquare("A - I needs a square matrix")
-        return self - IntMatrix.identity(self.rows)
+        return self._minus_identity
+
+    # immutable, so A - E and det A are formed once per matrix
+    _minus_identity = functools.cached_property(lambda self: self - IntMatrix.identity(self.rows))
+    _determinant = functools.cached_property(lambda self: _bareiss(self))
 
     def __str__(self) -> str:
         return str(self.to_rows())
@@ -175,6 +180,10 @@ def determinant(M: IntMatrix) -> int:
     """Exact determinant by fraction-free Bareiss elimination."""
     if not M.is_square():
         raise NotSquare("determinant needs a square matrix")
+    return M._determinant
+
+
+def _bareiss(M: IntMatrix) -> int:
     n = M.rows
     if n == 0:
         return 1

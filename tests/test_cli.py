@@ -1,6 +1,7 @@
 """Command line front end tests."""
 
 import argparse
+import functools
 import io
 import json
 import os
@@ -11,6 +12,7 @@ import sys
 import pytest
 
 import resnil
+import resnil.criteria as criteria
 from resnil.cli import (
     BuiltinExample,
     JobSpec,
@@ -527,6 +529,48 @@ def _package_env(**extra) -> dict:
     src = os.path.dirname(os.path.dirname(resnil.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return dict(os.environ, PYTHONPATH=path, **extra)
+
+
+class TestWorkDoneOnce:
+    """A job checks its requested primes once and forms det A and
+    det(A - E) once, for the classifier and the report alike."""
+
+    def test_requested_primes_checked_once(self, monkeypatch):
+        calls = []
+        is_prime = criteria.is_prime
+        monkeypatch.setattr(criteria, "is_prime", lambda p: calls.append(p) or is_prime(p))
+        # rank 2, and a rank-3 action that proves no prime
+        for matrix in ("[[2,1],[1,1]]", "[[0,0,1],[1,0,-4],[0,1,4]]"):
+            calls.clear()
+            report, _ = run(JobSpec(matrix=matrix, primes=(7, 3, 5), tensor_bound=2))
+            assert "  p=3: " in report
+            assert sorted(calls) == [3, 5, 7]
+
+    def test_every_public_entry_point_refuses_a_non_prime(self):
+        A = IntMatrix.from_rows([[2, 1], [1, 1]])
+        for call in (
+            lambda: JobSpec(matrix="[[2,1],[1,1]]", primes=(3, 9)),
+            lambda: classify_general(A, primes=(3, 9)),
+            lambda: criteria.classify_f2(A, primes=(3, 9)),
+            lambda: criteria.classify_family([A], primes=(3, 9)),
+            lambda: criteria.tensor_power_audit(A, 2, p=9),
+            lambda: criteria.mod_p_unipotency(A, 9),
+        ):
+            with pytest.raises(NotPrime):
+                call()
+        with pytest.raises(ValueError, match="non-prime 9"):
+            Verdict(None, False, ((3, None), (9, None)), criteria.LcsLength.UNKNOWN, ())
+
+    def test_report_reuses_the_determinants(self, monkeypatch):
+        runs = []
+        bareiss = IntMatrix._determinant.func
+        counting = functools.cached_property(lambda M: runs.append(M) or bareiss(M))
+        counting.__set_name__(IntMatrix, "_determinant")
+        monkeypatch.setattr(IntMatrix, "_determinant", counting)
+        report, _ = run(JobSpec(matrix="[[2,1],[1,1]]"))
+        assert "det A = 1; tr A = 3; det(A-E) = -1" in report
+        A = IntMatrix.from_rows([[2, 1], [1, 1]])
+        assert runs == [A, A.minus_identity()]
 
 
 class TestOneParser:

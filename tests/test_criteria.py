@@ -140,6 +140,11 @@ class TestPrimality:
         for n in range(-3, 31):
             assert is_prime(n) == (n in primes)
 
+    def test_below_and_above_43_squared(self):
+        # below 1849 = 43^2 trial division by the bases decides alone
+        for n in range(-3, 5000):
+            assert is_prime(n) == (n > 1 and radical(n) == (n,)), n
+
 
 def _decided():
     # resnil True, lcs omega, p = 3 and 5 proven, p = 2 unknown
@@ -1299,6 +1304,169 @@ class TestSymmetricGalois:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "3dd579b1f8bb9c57cb3822eb9ed3723dba1ac0d3ce8b1d3b8c84b538d91f043c"
         )
+
+
+def _block_action(rng, blocks):
+    """Block upper triangular action whose diagonal blocks are the
+    companions of the monic blocks, entries above them seeded in
+    {-1, 0, 1}."""
+    n = sum(f.degree() for f in blocks)
+    rows = [[0] * n for _ in range(n)]
+    start = 0
+    for f in blocks:
+        d = f.degree()
+        for r, row in enumerate(companion(f).to_rows()):
+            rows[start + r][start:] = row + [rng.randint(-1, 1) for _ in range(n - start - d)]
+        start += d
+    return M(rows)
+
+
+def _poly(*coeffs):
+    # the monic x^n + c_(n-1) x^(n-1) + ... + c_0 from c_(n-1), ..., c_0
+    return IntPoly(list(reversed(coeffs)) + [1])
+
+
+# unit cubics with group A_3, and unit quartics by group (sympy's
+# galois_group)
+A3_CUBICS = [_poly(0, -3, -1), _poly(0, -3, 1), _poly(1, -2, -1), _poly(-1, -2, 1)]
+QUARTICS = {
+    "C4": _poly(-4, -4, 1, 1),
+    "V4": _poly(-4, -4, 4, 1),
+    "D4": _poly(-4, -4, -4, 1),
+    "A4": _poly(-3, 3, 2, 1),
+    "S4": _poly(-4, -4, -4, -1),
+}
+S3, S4, S5, S6 = _poly(0, -5, 1), _poly(0, 0, -5, 1), _poly(0, 0, 0, -5, 1), _poly(0, 0, 0, 0, -5, 1)
+
+
+class TestGaloisBlocks:
+    """Factor sets read from each block's Galois group: the two orbit
+    cubics of an A_3 block, S_4 by the resolvent cubic, and products of
+    certified S_n blocks."""
+
+    def test_cyclic_pair_matches_factoring(self, monkeypatch):
+        # every degree-6 local piece of weight <= 8 of four A_3 cubics
+        pieces = 0
+        for f in A3_CUBICS:
+            graded = _GradedFactors(companion(f))
+            graded.irreducibles((1,))
+            for k in range(2, 9):
+                for nu in _partitions(k, 3):
+                    P = graded._piece(((f, nu),))
+                    if P.degree() != 6:
+                        continue
+                    pair = criteria._cyclic_pair(P, -(-f.constant()) ** k)
+                    assert set(pair) == {g for g, _ in factor_over_Z(P).factors}
+                    pieces += 1
+        assert pieces == 4 * 16
+        # a product of two cubics with other constant terms is refused
+        P = _poly(0, -5, 1) * _poly(0, -5, -1)
+        assert criteria._cyclic_pair(P, 1) is None and criteria._cyclic_pair(P, -1) is None
+
+    def test_cyclic_blocks_factor_no_sextic(self, monkeypatch):
+        # through irreducibles, no degree-6 piece reaches factor_over_Z
+        degrees = []
+        monkeypatch.setattr(criteria, "factor_over_Z",
+                            lambda P: degrees.append(P.degree()) or factor_over_Z(P))
+        for f in A3_CUBICS:
+            graded = _GradedFactors(companion(f))
+            assert with_alarm(10, lambda: _factor_sets_agree(graded, 6)) == 0
+            assert graded._cyclic == {f}
+        monkeypatch.undo()
+        assert 6 not in degrees
+
+    def test_resolvent_names_the_quartic_groups(self, monkeypatch):
+        monkeypatch.setattr(criteria, "has_symmetric_galois_group", TestSymmetricGalois._refuse)
+        for group, f in QUARTICS.items():
+            graded = _GradedFactors(companion(f))
+            graded.irreducibles((1,))
+            assert graded._certified(f) is (group == "S4"), group
+
+    def test_resolvent_matches_the_prime_scan(self):
+        try:
+            from sympy import Poly, Symbol
+            from sympy.polys.numberfields.galoisgroups import galois_group
+        except ImportError:
+            galois_group = None
+        rng = random.Random(6361)
+        groups = set()
+        cases = 0
+        while cases < 60:
+            f = IntPoly([rng.choice([1, -1])] + [rng.randint(-4, 4) for _ in range(3)] + [1])
+            if factor_over_Z(f).factors != ((f, 1),):
+                continue
+            cases += 1
+            graded = _GradedFactors(companion(f))
+            graded.irreducibles((1,))
+            resolvent = graded._certified(f)
+            # the scan is sound, so it proves S_4 only where the resolvent does
+            assert resolvent or not has_symmetric_galois_group(f), f
+            if galois_group is not None:
+                name = galois_group(Poly(f.coeffs[::-1], Symbol("x")), by_name=True)[0].name
+                groups.add(name)
+                assert resolvent == (name == "S4"), (f, name)
+        assert galois_group is None or len(groups) > 1
+
+    def test_product_pieces_match_factoring(self):
+        # seeded 2- and 3-block actions: irreducibles(mu) is the factor
+        # set of P_mu built whole, up to K = 3
+        rng = random.Random(6367)
+        pool = [S3, _poly(0, -1, -1), S4, _poly(0, 0, -1, -1), S5, A3_CUBICS[0],
+                QUARTICS["C4"], QUARTICS["D4"], _poly(0, 5, -1)]
+
+        scans = set()
+
+        def check():
+            for _ in range(14):
+                blocks = rng.sample(pool, rng.choice((2, 2, 3)))
+                while sum(f.degree() for f in blocks) > 10:
+                    blocks.pop()
+                graded = _GradedFactors(_block_action(rng, blocks))
+                _factor_sets_agree(graded, 3)
+                scans.update(v for fs, v in graded._products.items() if len(fs) > 1)
+
+        with_alarm(60, check)
+        assert scans == {True, False}
+
+    @pytest.mark.parametrize(
+        "blocks,certified",
+        [
+            ((S5, S6), True),
+            ((S3, S4), True),
+            ((S4, _poly(0, 0, -1, -1)), True),
+            ((S3, _poly(0, -1, -1), S4), True),
+            ((S3, _poly(0, -5, -1)), False),  # f(-x) = -(x^3 - 5x - 1)
+            ((S4, _poly(0, 0, 5, 1)), False),  # S4(-x)
+            ((S3, A3_CUBICS[0]), False),
+            ((QUARTICS["C4"], S3), False),
+            ((QUARTICS["V4"], S3), False),
+            ((QUARTICS["D4"], S3), False),
+        ],
+    )
+    def test_product_scan(self, blocks, certified):
+        graded = _GradedFactors(_block_action(random.Random(6373), blocks))
+        fs = tuple(f for f in graded.irreducibles((1,)) if f.degree() > 1)
+        assert with_alarm(5, lambda: graded._symmetric_product(fs)) is certified
+
+    def test_multiplicity_two_is_not_certified(self):
+        graded = _GradedFactors(_block_action(random.Random(6379), [S3, S3, S4]))
+        graded.irreducibles((1,))
+        assert graded._blocks == {S3: 2, S4: 1}
+        assert not graded._symmetric_product((S3, S4))
+        assert with_alarm(30, lambda: _factor_sets_agree(graded, 3)) == 0
+
+    @pytest.mark.parametrize("blocks,K,cap", [((S5, S6), 3, None), ((_poly(0, 0, 0, -1, -1), S5), 4, 100000)])
+    def test_symmetric_products_factor_no_combined_piece(self, monkeypatch, blocks, K, cap):
+        # S_5 + S_6 at K = 3 and two S_5 blocks at K = 4 took 0.9 s and
+        # 4.4 s when their combined pieces, of degree up to 150, were
+        # factored; factor_over_Z now sees char(A) and pieces of one block
+        degrees = []
+        monkeypatch.setattr(criteria, "factor_over_Z",
+                            lambda P: degrees.append(P.degree()) or factor_over_Z(P))
+        A = _block_action(random.Random(6389), blocks)
+        caps = {} if cap is None else {"side_cap": cap, "witt_cap": cap}
+        with_alarm(2, lambda: classify_general(A, tensor_bound=K, **caps))
+        assert degrees[0] == A.rows and max(degrees[1:], default=0) <= 6
 
 
 class TestPrimeExtraction:

@@ -732,3 +732,28 @@ class TestLinearRootProfile:
         mult1, multm1, rest = linear_root_profile(IntPoly([1, 1, 1]))
         assert (mult1, multm1) == (0, 0)
         assert rest == IntPoly([1, 1, 1])
+
+
+class TestIntegerRootOfCubic:
+    def test_matches_a_scan_of_the_cauchy_range(self):
+        rng = random.Random(739)
+        found = 0
+        for _ in range(20000):
+            g = IntPoly([rng.randint(-60, 60) for _ in range(3)] + [1])
+            bound = 1 + max(map(abs, g.coeffs))
+            want = any(g.evaluate(y) == 0 for y in range(-bound, bound + 1))
+            assert intpoly._has_integer_root(g) == want, g
+            found += want
+        assert found > 100
+
+    def test_large_roots_and_double_roots(self):
+        rng = random.Random(743)
+        for _ in range(2000):
+            r, s = rng.randint(-10**12, 10**12), rng.randint(-10**6, 10**6)
+            q = IntPoly([rng.randint(-10**9, 10**9), rng.randint(-10**6, 10**6), 1])
+            assert intpoly._has_integer_root(IntPoly([-r, 1]) * q)
+            # (x - s)^2 (x - s - 1): roots at both critical runs' ends
+            assert intpoly._has_integer_root(IntPoly([-s, 1]) ** 2 * IntPoly([-s - 1, 1]))
+        # x^3 - 2 and the resolvent y^3 - 4y - 25 of x^4 - 5x + 1
+        assert not intpoly._has_integer_root(IntPoly([-2, 0, 0, 1]))
+        assert not intpoly._has_integer_root(IntPoly([-25, -4, 0, 1]))
