@@ -36,7 +36,9 @@ through ``resnil.cli.main``, as ``perfbench/run.py`` runs it.  So do:
   (A^2 = E, so no cap is passed); and a ``--json`` job whose matrix
   string carries a non-ASCII comment, echoed as a \\uXXXX escape;
 - Galois groups below S_n and products of blocks: seeded conjugates of
-  the unit cubics with group A_3 at K = 3..6 and of unit quartics with
+  the unit cubics with group A_3 at K = 3..6, and their cubes (det(A
+  - E) = +-1 decides three of the four cubics before any audit, but
+  none of the cubes), and of unit quartics with
   groups C_4, V_4, D_4, A_4 and S_4 at K = 3 and 4, and seeded block
   upper triangular actions of rank 6..11 with two or three nonlinear
   blocks (S_5 with S_6, f with f(-x), A_3 with S_3, equal degrees, a
@@ -189,7 +191,9 @@ def galois_jobs(workloads):
     for i, c in enumerate(A3_CUBICS):
         for K in range(3, 7):
             A = workloads.conjugate(rng, workloads.companion(c))
-            yield f"galois/a3/{i}/{K}", ["--matrix", workloads.lit(A), "--tensor-bound", str(K)]
+            argv = ["--matrix", workloads.lit(A), "--tensor-bound", str(K)]
+            yield f"galois/a3/{i}/{K}", argv
+            yield f"galois/a3/{i}/{K}/power3", argv + ["--power", "3"]
     for i, c in enumerate(QUARTICS):
         for K in (3, 4):
             A = workloads.conjugate(rng, workloads.companion(c))
