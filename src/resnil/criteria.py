@@ -485,14 +485,17 @@ def _cyclic_pair(P: IntPoly, c: int) -> Optional[tuple[IntPoly, IntPoly]]:
     _, p1, p2, p3, p4, p5, _ = P.coeffs
     s = c * p1
     ad = _integer_roots(p5, p4 - s)
-    if ad and ad[0] != ad[1]:
-        b, rest = divmod(p3 - 2 * c - ad[0] * s, ad[1] - ad[0])
+    if ad is None:
+        return None
+    a, d = ad
+    if a != d:
+        b, rest = divmod(p3 - 2 * c - a * s, d - a)
         be = None if rest else (b, s - b)
     else:
-        be = ad and _integer_roots(s, p2 - 2 * ad[0] * c)
-    if not be:
+        be = _integer_roots(s, p2 - 2 * a * c)
+    if be is None:
         return None
-    pair = IntPoly((c, be[0], ad[0], 1)), IntPoly((c, be[1], ad[1], 1))
+    pair = IntPoly((c, be[0], a, 1)), IntPoly((c, be[1], d, 1))
     ok = pair[0] * pair[1] == P and all(Q.evaluate(r) for Q in pair for r in (1, -1))
     return pair if ok else None
 
@@ -546,20 +549,28 @@ class _GradedFactors:
     gives those of their combined piece (power sums: the products of the
     blocks' orbit power sums).  Factors are kept per (f, nu) key.
 
-    Per-block certificate: a block f of multiplicity 1 and degree n >= 3
-    has group S_n when disc f = det(s_(i+j)) (Hankel, of its power sums)
-    is not a square and n = 3, or n = 4 and the resolvent y^3 - c2 y^2 +
-    (c1 c3 - 4 c0) y - (c3^2 c0 - 4 c2 c0 + c1^2) has no integer root
-    (Kappe and Warren 1989), or has_symmetric_galois_group.  G =
-    Gal(prod f_j) of certified blocks maps onto each S_(n_j); a Frobenius
-    with one part 2 and otherwise odd parts on f_j, odd parts elsewhere,
-    has an odd power (t, 1..1), t a transposition, whose conjugates give
-    S_(n_j) x 1 in G.  One such prime per j among the first 4 deg(prod
-    f_j) (none for one block) proves G = prod S_(n_j), transitive on the
-    monomials of a piece: one of degree above 4 that is squarefree mod
-    one of 3..13 is irreducible.  A cubic with a square discriminant has
-    group C_3, whose orbits split a degree-6 local piece into cubics with
-    constant term -e3^|nu|, e3 = -f(0) (_cyclic_pair).
+    Per-block certificate: a block f of multiplicity 1 and degree
+    n >= 3 has Galois group S_n when disc f = det(s_(i+j)), the Hankel
+    matrix of its power sums, is not a square (a square puts the group
+    inside A_n) and: n = 3 (an irreducible cubic has group A_3 or S_3);
+    or n = 4 and the resolvent cubic y^3 - c2 y^2 + (c1 c3 - 4 c0) y -
+    (c3^2 c0 - 4 c2 c0 + c1^2) has no integer root (Kappe and Warren,
+    Amer. Math. Monthly 96, 1989); or has_symmetric_galois_group(f).
+
+    Products: for blocks f_j certified S_(n_j), G = Gal(prod f_j) maps
+    onto each S_(n_j).  A Frobenius with exactly one part 2 and
+    otherwise odd parts on f_j, and only odd parts on every other block,
+    has an odd power (t, 1, ..., 1), t a transposition, whose conjugates
+    under G give S_(n_j) x 1 inside G.  One such prime per block among
+    the first 4 deg(prod f_j) at which prod f_j stays squarefree proves
+    G = prod S_(n_j); one block needs none.  G then permutes the
+    monomials of the piece transitively, so a piece of degree above 4
+    that is squarefree mod one of 3..13 is irreducible.
+
+    A_3 cubics: a cubic block with a square discriminant has group C_3,
+    whose two orbits split a degree-6 local piece into two cubics with
+    constant term -e3^|nu|, e3 = -f(0), read off by _cyclic_pair;
+    factor_over_Z is the fallback.
     """
 
     def __init__(self, A: IntMatrix):

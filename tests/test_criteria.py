@@ -1344,7 +1344,7 @@ class TestGaloisBlocks:
     cubics of an A_3 block, S_4 by the resolvent cubic, and products of
     certified S_n blocks."""
 
-    def test_cyclic_pair_matches_factoring(self, monkeypatch):
+    def test_cyclic_pair_matches_factoring(self):
         # every degree-6 local piece of weight <= 8 of four A_3 cubics
         pieces = 0
         for f in A3_CUBICS:
@@ -1457,9 +1457,10 @@ class TestGaloisBlocks:
 
     @pytest.mark.parametrize("blocks,K,cap", [((S5, S6), 3, None), ((_poly(0, 0, 0, -1, -1), S5), 4, 100000)])
     def test_symmetric_products_factor_no_combined_piece(self, monkeypatch, blocks, K, cap):
-        # S_5 + S_6 at K = 3 and two S_5 blocks at K = 4 took 0.9 s and
-        # 4.4 s when their combined pieces, of degree up to 150, were
-        # factored; factor_over_Z now sees char(A) and pieces of one block
+        # S_5 + S_6 at K = 3 and two S_5 blocks at K = 4 took 0.5 s and
+        # 3.5 s when their combined pieces, of degree up to 75 and 100,
+        # were factored; factor_over_Z now sees char(A) and pieces of one
+        # block
         degrees = []
         monkeypatch.setattr(criteria, "factor_over_Z",
                             lambda P: degrees.append(P.degree()) or factor_over_Z(P))
