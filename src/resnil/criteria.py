@@ -35,7 +35,6 @@ from .errors import (
 )
 from .intpoly import (
     IntPoly,
-    _frobenius_cycles,
     _has_integer_root,
     _integer_roots,
     _ints,
@@ -94,7 +93,7 @@ __all__ = [
 
 
 class _Checked(tuple):
-    """Primes, or a verdict's (prime, value) pairs, that passed is_prime."""
+    """Sorted distinct primes that passed is_prime."""
 
 
 def _validated_primes(primes: Iterable[int]) -> tuple[int, ...]:
@@ -268,15 +267,16 @@ class Verdict:
     residually_p_finite: tuple
     lcs_length: LcsLength
     witnesses: tuple
+    # for callers whose primes already passed is_prime
+    _checked: dataclasses.InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _checked: bool):
         pairs = tuple(self.residually_p_finite)
         primes = _ints(p for p, _ in pairs)
-        entries = _Checked(sorted(zip(primes, (v for _, v in pairs)), key=lambda t: t[0]))
-        if type(self.residually_p_finite) is not _Checked:
-            for p, _ in entries:
-                if not is_prime(p):
-                    raise ValueError(f"p-finite entry at non-prime {p}")
+        entries = tuple(sorted(zip(primes, (v for _, v in pairs)), key=lambda t: t[0]))
+        for p, _ in () if _checked else entries:
+            if not is_prime(p):
+                raise ValueError(f"p-finite entry at non-prime {p}")
         if len(dict(entries)) != len(entries):
             raise ValueError("duplicate prime entries")
         object.__setattr__(self, "residually_p_finite", entries)
@@ -545,9 +545,10 @@ class _GradedFactors:
     multiply the root by r^|nu|, and do not fit when len(nu) > e.  A
     deal to linear blocks only gives x - s, s the product of the signs;
     one that reaches one nonlinear block f gives the factors of f's
-    local orbit polynomial, roots times s; one that reaches two or more
-    gives those of their combined piece (power sums: the products of the
-    blocks' orbit power sums).  Factors are kept per (f, nu) key.
+    local orbit polynomial, roots times s; only one that reaches two or
+    more builds their combined piece (power sums: the products of the
+    blocks' orbit power sums) and factors it.  Factors are kept per
+    (f, nu) key.
 
     Per-block certificate: a block f of multiplicity 1 and degree
     n >= 3 has Galois group S_n when disc f = det(s_(i+j)), the Hankel
@@ -556,16 +557,9 @@ class _GradedFactors:
     or n = 4 and the resolvent cubic y^3 - c2 y^2 + (c1 c3 - 4 c0) y -
     (c3^2 c0 - 4 c2 c0 + c1^2) has no integer root (Kappe and Warren,
     Amer. Math. Monthly 96, 1989); or has_symmetric_galois_group(f).
-
-    Products: for blocks f_j certified S_(n_j), G = Gal(prod f_j) maps
-    onto each S_(n_j).  A Frobenius with exactly one part 2 and
-    otherwise odd parts on f_j, and only odd parts on every other block,
-    has an odd power (t, 1, ..., 1), t a transposition, whose conjugates
-    under G give S_(n_j) x 1 inside G.  One such prime per block among
-    the first 4 deg(prod f_j) at which prod f_j stays squarefree proves
-    G = prod S_(n_j); one block needs none.  G then permutes the
-    monomials of the piece transitively, so a piece of degree above 4
-    that is squarefree mod one of 3..13 is irreducible.
+    S_n permutes the monomials of a local orbit polynomial
+    transitively, so one of degree above 4 that is squarefree mod one
+    of 3..13 is irreducible.
 
     A_3 cubics: a cubic block with a square discriminant has group C_3,
     whose two orbits split a degree-6 local piece into two cubics with
@@ -581,7 +575,6 @@ class _GradedFactors:
         self._block_traces: dict[IntPoly, list[int]] = {}
         self._symmetric: dict[IntPoly, bool] = {}
         self._cyclic: set[IntPoly] = set()  # cubic blocks of group A_3
-        self._products: dict[tuple, bool] = {}
         self._local: dict[tuple, tuple[IntPoly, ...]] = {}
         self._irreducibles: dict[tuple, tuple[IntPoly, ...]] = {}
 
@@ -630,12 +623,12 @@ class _GradedFactors:
         # local monomial of nu per nonlinear block f, over (f, nu) in key
         if key not in self._local:
             P = self._piece(key)
-            fs = tuple(f for f, _ in key)
+            (f, nu), *rest = key
             found = None
-            if P.degree() > 4 and self._symmetric_product(fs) and squarefree_mod_small_prime(P):
+            if not rest and P.degree() > 4 and self._certified(f) and squarefree_mod_small_prime(P):
                 found = (P,)
-            elif len(key) == 1 and P.degree() == 6 and fs[0] in self._cyclic:
-                found = _cyclic_pair(P, -(-fs[0].constant()) ** sum(key[0][1]))
+            elif not rest and P.degree() == 6 and f in self._cyclic:
+                found = _cyclic_pair(P, -(-f.constant()) ** sum(nu))
             self._local[key] = found or tuple(g for g, _ in factor_over_Z(P).factors)
         return self._local[key]
 
@@ -679,21 +672,6 @@ class _GradedFactors:
                 ok = not smaller and (n <= 4 or has_symmetric_galois_group(f))
             self._symmetric[f] = ok
         return self._symmetric[f]
-
-    def _symmetric_product(self, fs: tuple) -> bool:
-        # Gal(prod fs) = prod S_(n_j), by the scan in the docstring
-        if fs not in self._products:
-            ok = all(map(self._certified, fs))
-            pending = set(range(len(fs))) if ok and len(fs) > 1 else set()
-            for types in _frobenius_cycles(fs, 4 * sum(f.degree() for f in fs)) if pending else ():
-                evens = [[d for d in t if d % 2 == 0] for t in types]
-                hit = [j for j, e in enumerate(evens) if e]
-                if len(hit) == 1 and evens[hit[0]] == [2]:
-                    pending.discard(hit[0])
-                if not pending:
-                    break
-            self._products[fs] = ok and not pending
-        return self._products[fs]
 
     def level(self, k: int, lie: bool) -> AfResult:
         """Factor values of the tensor level k, or with lie of L_k."""
@@ -926,7 +904,7 @@ def _verdict(
             values.setdefault(p, True if all_primes else None)
 
     # req passed _validated_primes; proven holds primes by construction
-    return Verdict(resnil, all_primes, _Checked(values.items()), lcs, witnesses)
+    return Verdict(resnil, all_primes, tuple(values.items()), lcs, witnesses, _checked=True)
 
 
 def classify_f2(A: IntMatrix, primes: Iterable[int] = ()) -> Verdict:
@@ -1035,7 +1013,7 @@ def finite_index_resnil_subgroup(A: IntMatrix) -> SubgroupReport:
             f"det={determinant(P)}, tr={P.trace()}",
         ),
     )
-    return SubgroupReport(index, P, dataclasses.replace(sub, witnesses=witnesses))
+    return SubgroupReport(index, P, dataclasses.replace(sub, witnesses=witnesses, _checked=True))
 
 
 def _audit_witnesses(graded: _GradedFactors, K: int) -> list[Witness]:
@@ -1091,7 +1069,8 @@ def classify_general(
     graded = _GradedFactors(A)
     if n == 2:
         v = classify_f2(A, primes=req)
-        return dataclasses.replace(v, witnesses=v.witnesses + tuple(_audit_witnesses(graded, K)))
+        witnesses = v.witnesses + tuple(_audit_witnesses(graded, K))
+        return dataclasses.replace(v, witnesses=witnesses, _checked=True)
 
     witnesses: list[Witness] = []
     af = graded.level(1, lie=False)

@@ -40,8 +40,7 @@ n!/((n-len(mu))! prod m_i!), never a characteristic polynomial of
 degree n^k.
 
 has_symmetric_galois_group certifies Gal(f) = S_n from the cycle types
-of Frobenius elements (_frobenius_cycles, which criteria also scans
-for products of blocks); _has_integer_root decides the resolvent cubic
+of Frobenius elements; _has_integer_root decides the resolvent cubic
 of a quartic.  criteria checks an orbit polynomial whose roots such a
 group permutes transitively only for squarefreeness.
 
@@ -828,22 +827,17 @@ def has_symmetric_galois_group(f: IntPoly) -> bool:
     if n < 3 or not f.is_monic():
         raise ValueError(f"need a monic polynomial of degree >= 3, got {f}")
     primitive = transposition = False
-    for (pattern,) in _frobenius_cycles((f,), 4 * n):
+    for p in itertools.islice(_squarefree_primes(f), 4 * n):
+        pattern = sorted(
+            d
+            for g, d in _distinct_degree([c % p for c in f.coeffs], p)
+            for _ in range((len(g) - 1) // d)
+        )
         primitive |= pattern == [1, n - 1]
         transposition |= pattern.count(2) == 1 and all(d % 2 for d in pattern if d != 2)
         if primitive and transposition:
             return True
     return False
-
-
-def _frobenius_cycles(fs: tuple, count: int):
-    # at each of the first `count` odd primes p at which the product of the
-    # monic fs stays squarefree, the sorted degrees of the factors of each f
-    # mod p: the cycle types of a Frobenius element on its roots (Dedekind)
-    h = math.prod(fs, start=IntPoly.const(1))
-    for p in itertools.islice(_squarefree_primes(h), count):
-        yield [sorted(d for g, d in _distinct_degree([c % p for c in f.coeffs], p)
-                      for _ in range((len(g) - 1) // d)) for f in fs]
 
 
 def _has_integer_root(g: IntPoly) -> bool:

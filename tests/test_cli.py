@@ -560,6 +560,11 @@ class TestWorkDoneOnce:
                 call()
         with pytest.raises(ValueError, match="non-prime 9"):
             Verdict(None, False, ((3, None), (9, None)), criteria.LcsLength.UNKNOWN, ())
+        # a verdict's (prime, value) pairs are no checked primes
+        pairs = classify_general(A, primes=(3,)).residually_p_finite
+        assert type(pairs) is tuple
+        with pytest.raises(TypeError):
+            criteria._validated_primes(pairs)
 
     def test_report_reuses_the_determinants(self, monkeypatch):
         runs = []

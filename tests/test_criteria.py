@@ -1341,8 +1341,7 @@ S3, S4, S5, S6 = _poly(0, -5, 1), _poly(0, 0, -5, 1), _poly(0, 0, 0, -5, 1), _po
 
 class TestGaloisBlocks:
     """Factor sets read from each block's Galois group: the two orbit
-    cubics of an A_3 block, S_4 by the resolvent cubic, and products of
-    certified S_n blocks."""
+    cubics of an A_3 block, and S_4 by the resolvent cubic."""
 
     def test_cyclic_pair_matches_factoring(self):
         # every degree-6 local piece of weight <= 8 of four A_3 cubics
@@ -1407,67 +1406,28 @@ class TestGaloisBlocks:
                 assert resolvent == (name == "S4"), (f, name)
         assert galois_group is None or len(groups) > 1
 
-    def test_product_pieces_match_factoring(self):
+    def test_block_pieces_match_factoring(self):
         # seeded 2- and 3-block actions: irreducibles(mu) is the factor
         # set of P_mu built whole, up to K = 3
         rng = random.Random(6367)
         pool = [S3, _poly(0, -1, -1), S4, _poly(0, 0, -1, -1), S5, A3_CUBICS[0],
                 QUARTICS["C4"], QUARTICS["D4"], _poly(0, 5, -1)]
 
-        scans = set()
-
         def check():
             for _ in range(14):
                 blocks = rng.sample(pool, rng.choice((2, 2, 3)))
                 while sum(f.degree() for f in blocks) > 10:
                     blocks.pop()
-                graded = _GradedFactors(_block_action(rng, blocks))
-                _factor_sets_agree(graded, 3)
-                scans.update(v for fs, v in graded._products.items() if len(fs) > 1)
+                _factor_sets_agree(_GradedFactors(_block_action(rng, blocks)), 3)
 
         with_alarm(60, check)
-        assert scans == {True, False}
-
-    @pytest.mark.parametrize(
-        "blocks,certified",
-        [
-            ((S5, S6), True),
-            ((S3, S4), True),
-            ((S4, _poly(0, 0, -1, -1)), True),
-            ((S3, _poly(0, -1, -1), S4), True),
-            ((S3, _poly(0, -5, -1)), False),  # f(-x) = -(x^3 - 5x - 1)
-            ((S4, _poly(0, 0, 5, 1)), False),  # S4(-x)
-            ((S3, A3_CUBICS[0]), False),
-            ((QUARTICS["C4"], S3), False),
-            ((QUARTICS["V4"], S3), False),
-            ((QUARTICS["D4"], S3), False),
-        ],
-    )
-    def test_product_scan(self, blocks, certified):
-        graded = _GradedFactors(_block_action(random.Random(6373), blocks))
-        fs = tuple(f for f in graded.irreducibles((1,)) if f.degree() > 1)
-        assert with_alarm(5, lambda: graded._symmetric_product(fs)) is certified
 
     def test_multiplicity_two_is_not_certified(self):
         graded = _GradedFactors(_block_action(random.Random(6379), [S3, S3, S4]))
         graded.irreducibles((1,))
         assert graded._blocks == {S3: 2, S4: 1}
-        assert not graded._symmetric_product((S3, S4))
+        assert not graded._certified(S3) and graded._certified(S4)
         assert with_alarm(30, lambda: _factor_sets_agree(graded, 3)) == 0
-
-    @pytest.mark.parametrize("blocks,K,cap", [((S5, S6), 3, None), ((_poly(0, 0, 0, -1, -1), S5), 4, 100000)])
-    def test_symmetric_products_factor_no_combined_piece(self, monkeypatch, blocks, K, cap):
-        # S_5 + S_6 at K = 3 and two S_5 blocks at K = 4 took 0.5 s and
-        # 3.5 s when their combined pieces, of degree up to 75 and 100,
-        # were factored; factor_over_Z now sees char(A) and pieces of one
-        # block
-        degrees = []
-        monkeypatch.setattr(criteria, "factor_over_Z",
-                            lambda P: degrees.append(P.degree()) or factor_over_Z(P))
-        A = _block_action(random.Random(6389), blocks)
-        caps = {} if cap is None else {"side_cap": cap, "witt_cap": cap}
-        with_alarm(2, lambda: classify_general(A, tensor_bound=K, **caps))
-        assert degrees[0] == A.rows and max(degrees[1:], default=0) <= 6
 
 
 class TestPrimeExtraction:
