@@ -437,6 +437,13 @@ def _partitions(k: int, parts: int, largest: Optional[int] = None):
             yield (first,) + rest
 
 
+@functools.lru_cache(maxsize=256)
+def _level_types(k: int, n: int) -> tuple[tuple[tuple[int, ...], bool], ...]:
+    # (mu, in_lie) over the orbit types of level k at rank n, in
+    # _partitions order
+    return tuple((mu, _orbit_type(mu).in_lie) for mu in _partitions(k, n))
+
+
 def _deals(mu: tuple[int, ...], r: int):
     # every way to deal the parts of mu out to r blocks, as r partitions
     sizes = sorted(set(mu), reverse=True)
@@ -537,7 +544,10 @@ class _GradedFactors:
     a^mu = det^t / a^dual, dual = (t - mu_n, ..., t - mu_1) without
     zeros.  When |dual| < |mu| the factors of P_mu are the reciprocals
     of those of P_dual (monic: their constant terms are +-1) with roots
-    times det^t; an empty dual gives x - det^t.
+    times s = det^t; an empty dual gives x - s.  The audits need only
+    whether some factor has the value +-1 at 1 (unit_free): the factor
+    from g has the value g(s) / g(0) = +-g(s) there, and x - s has 0 or
+    2, so such a type is read from P_dual without building its own.
 
     Signs: otherwise each monomial deals the parts of mu out to the
     blocks f^e of char(A), factored first.  A linear block is x - r,
@@ -577,6 +587,7 @@ class _GradedFactors:
         self._cyclic: set[IntPoly] = set()  # cubic blocks of group A_3
         self._local: dict[tuple, tuple[IntPoly, ...]] = {}
         self._irreducibles: dict[tuple, tuple[IntPoly, ...]] = {}
+        self._unit_free: dict[tuple, bool] = {}
 
     def irreducibles(self, mu: tuple[int, ...]) -> tuple[IntPoly, ...]:
         """The distinct monic irreducible factors of P_mu."""
@@ -673,11 +684,25 @@ class _GradedFactors:
             self._symmetric[f] = ok
         return self._symmetric[f]
 
+    def unit_free(self, mu: tuple[int, ...]) -> bool:
+        """True when no irreducible factor of P_mu has the value +-1 at 1;
+        a type read from its dual builds no factor of its own."""
+        if mu not in self._unit_free:
+            dual = _dual(mu, self.n)
+            if sum(dual) < sum(mu):
+                # a factor from g has the value +-g(s) at 1, s = det^(mu_1);
+                # an empty dual gives x - s, of value 0 or 2
+                at, gs = self._det ** mu[0], (self.irreducibles(dual) if dual else ())
+            else:
+                at, gs = 1, self.irreducibles(mu)
+            self._unit_free[mu] = all(abs(g.evaluate(at)) != 1 for g in gs)
+        return self._unit_free[mu]
+
     def level(self, k: int, lie: bool) -> AfResult:
         """Factor values of the tensor level k, or with lie of L_k."""
         found: set[IntPoly] = set()
-        for mu in _partitions(k, self.n):
-            if not lie or _orbit_type(mu).in_lie:
+        for mu, in_lie in _level_types(k, self.n):
+            if in_lie or not lie:
                 found.update(self.irreducibles(mu))
         return _factor_values(found)
 
@@ -1017,20 +1042,20 @@ def finite_index_resnil_subgroup(A: IntMatrix) -> SubgroupReport:
 
 
 def _audit_witnesses(graded: _GradedFactors, K: int) -> list[Witness]:
-    def bits(lie: bool) -> str:
-        return ", ".join(
-            f"k={r.k} {'pass' if r.af_nilpotent else 'fail'}"
-            for r in _audit_levels(graded, K, None, lie)
-        )
-
+    # one sweep over each level's orbit types sets its tensor and Lie bits
+    tensor, lie = [], []
+    for k in range(1, K + 1):
+        free = [(graded.unit_free(mu), in_lie) for mu, in_lie in _level_types(k, graded.n)]
+        tensor.append(f"k={k} {'pass' if all(f for f, _ in free) else 'fail'}")
+        lie.append(f"k={k} {'pass' if all(f for f, in_lie in free if in_lie) else 'fail'}")
     return [
         Witness(
             "tensor_power_audit",
-            f"af-nilpotence on tensor powers: {bits(False)}; verified up to bound {K}",
+            f"af-nilpotence on tensor powers: {', '.join(tensor)}; verified up to bound {K}",
         ),
         Witness(
             "lie_component_audit",
-            f"af-nilpotence on Lie components: {bits(True)}; verified up to bound {K}",
+            f"af-nilpotence on Lie components: {', '.join(lie)}; verified up to bound {K}",
         ),
     ]
 

@@ -30,6 +30,9 @@ from resnil.criteria import (
     mod_p_unipotency,
     tensor_power_audit,
     _GradedFactors,
+    _audit_witnesses,
+    _dual,
+    _level_types,
     _orbit_poly,
     _orbit_sums,
     _partitions,
@@ -1187,6 +1190,78 @@ class TestOrbitTypes:
             lie_component_audit(A, 2, witt_cap=None)
         with pytest.raises(TypeError):
             tensor_power_audit(A, 2, side_cap=None)
+
+
+class TestAuditBits:
+    """One bit per orbit type: unit_free(mu) tells whether some
+    irreducible factor of P_mu has the value +-1 at 1.  A type with a
+    smaller dual reads it from the dual's factors g at s = det^(mu_1)."""
+
+    # (rank, K, actions): K up to 7 at ranks 1-2, 4 at rank 3, 3 at rank 4
+    CASES = [(1, 7, 2), (2, 7, 30), (3, 4, 20), (4, 3, 12)]
+
+    @staticmethod
+    def _actions(n, count, rng):
+        if n == 1:
+            return [M([[1]]), M([[-1]])]
+        return [random_unimodular(rng, n, steps=8) for _ in range(count)]
+
+    def test_bits_match_factored_orbit_polynomials(self):
+        rng = random.Random(2501)
+        reached = {"s=-1": 0, "empty dual": 0, "det=-1": 0}
+        for n, K, count in self.CASES:
+            for A in self._actions(n, count, rng):
+                graded = _GradedFactors(A)
+                f = char_poly(A)
+                det = (-1) ** n * f.constant()
+                reached["det=-1"] += det == -1
+                for k in range(1, K + 1):
+                    for mu, _ in _level_types(k, n):
+                        factors = factor_over_Z(_orbit_poly(f, mu)).factors
+                        assert graded.unit_free(mu) == all(
+                            abs(g.evaluate(1)) != 1 for g, _ in factors
+                        ), (A, mu)
+                        dual = _dual(mu, n)
+                        if sum(dual) < sum(mu):
+                            reached["empty dual"] += not dual
+                            reached["s=-1"] += bool(dual) and det ** mu[0] == -1
+        # both dual branches and both determinants are met
+        assert all(reached.values()), reached
+
+    def test_witness_bits_match_levels(self):
+        rng = random.Random(2502)
+        for n, K, count in self.CASES:
+            for A in self._actions(n, count, rng):
+                tensor, lie = _audit_witnesses(_GradedFactors(A), K)
+                graded = _GradedFactors(A)
+                for w, is_lie in ((tensor, False), (lie, True)):
+                    bits = ", ".join(
+                        f"k={k} {'pass' if graded.level(k, is_lie).nilpotent else 'fail'}"
+                        for k in range(1, K + 1)
+                    )
+                    assert bits in w.evidence, (A, w.evidence)
+
+    def test_determinant_minus_one_reads_g_at_minus_one(self):
+        # det A = -1: P_(3,1) comes from its dual P_(2) = x^2 - 3x + 1 at
+        # s = (-1)^3, so its factor has the value +-g(-1) = +-5 at 1, and
+        # level 4 passes although g(1) = -1 is a unit
+        A = M([[-1, 1], [1, 0]])
+        graded = _GradedFactors(A)
+        g = IntPoly((1, -3, 1))
+        assert graded.irreducibles((2,)) == (g,)
+        assert (g.evaluate(1), g.evaluate(-1)) == (-1, 5)
+        assert _dual((3, 1), 2) == (2,)
+        assert not graded.unit_free((2,))
+        assert graded.unit_free((3, 1))
+        tensor, lie = (w.evidence for w in classify_general(A, tensor_bound=4).witnesses[-2:])
+        assert tensor == (
+            "af-nilpotence on tensor powers: k=1 fail, k=2 fail, k=3 fail, "
+            "k=4 pass; verified up to bound 4"
+        )
+        assert lie == (
+            "af-nilpotence on Lie components: k=1 fail, k=2 pass, k=3 fail, "
+            "k=4 pass; verified up to bound 4"
+        )
 
 
 def companion(f):
