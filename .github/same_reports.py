@@ -42,7 +42,13 @@ through ``resnil.cli.main``, as ``perfbench/run.py`` runs it.  So do:
   groups C_4, V_4, D_4, A_4 and S_4 at K = 3 and 4, and seeded block
   upper triangular actions of rank 6..11 with two or three nonlinear
   blocks (S_5 with S_6, f with f(-x), A_3 with S_3, equal degrees, a
-  block of multiplicity 2), at K = 3 and at K = 4 with ``--cap 100000``.
+  block of multiplicity 2), at K = 3 and at K = 4 with ``--cap 100000``;
+- reducible char(A) at rank 5..12, where the factoring of char(A) is
+  what the report prints: block upper triangular fiber actions (det(A -
+  E) = +-1, decided before any audit) and, at ``--tensor-bound 1``,
+  actions of rank 9..12 that reach the prime gcd, with a cyclotomic
+  block beside a non-cyclotomic one, two non-cyclotomic blocks, and a
+  block of multiplicity 2.
 
 Prints a JSON map from job id to the sha256 of (exit code, stdout,
 stderr).  Two trees that print the same map give every job the same
@@ -214,6 +220,57 @@ def galois_jobs(workloads):
                                              "--tensor-bound", str(K)] + cap
 
 
+# diagonal blocks of the reducible actions, as [c_0, ..., c_(n-1)].  Each
+# fiber block has f(1) = +-1: x^2 - x + 1, x^4 - x^3 + x^2 - x + 1 and
+# x^4 - x^2 + 1 (Phi_6, Phi_10, Phi_12) beside x^n -+ x - 1, two of
+# those, x^5 + x - 1 = (x^2 - x + 1)(x^3 + x^2 - 1), and squares.  The
+# K = 1 blocks: x^2 + 1 beside x^7 - 3x - 1; x^4 + 1 with
+# (x^3 + x^2 + 3x - 1)^2, all = (x - 1)^d mod 2; x^4 + 2x^3 - 2x + 1 with
+# x^7 - 3x - 1; x^5 - 3x - 1 with x^7 - 3x - 1; (x^3 - 3x - 1)^2 with
+# x^6 + x^5 - x^3 + 1
+FIBER_SETS = (
+    ([1, -1], [-1, -1, 0]),
+    ([1, -1, 1, -1], [-1, 1, 0, 0]),
+    ([1, 0, -1, 0], [-1, -1, 0, 0, 0, 0]),
+    ([-1, -1, 0, 0, 0], [-1, -1, 0, 0]),
+    ([-1, -1, 0, 0, 0, 0, 0], [-1, 1, 0, 0, 0]),
+    ([-1, -1, 0], [-1, -1, 0]),
+    ([1, -1], [1, -1], [-1, -1, 0]),
+    ([-1, -1, 0, 0], [-1, -1, 0, 0], [-1, 0, 1]),
+)
+K1_SETS = (
+    ([1, 0], [-1, -3, 0, 0, 0, 0, 0]),
+    ([1, 0, 0, 0], [-1, 3, 1], [-1, 3, 1]),
+    ([1, -2, 0, 2], [-1, -3, 0, 0, 0, 0, 0]),
+    ([-1, -3, 0, 0, 0], [-1, -3, 0, 0, 0, 0, 0]),
+    ([-1, -3, 0], [-1, -3, 0], [1, 0, 0, -1, 0, 1]),
+)
+
+
+def block_matrix(workloads, rng, blocks):
+    # the companions of blocks down the diagonal, seeded entries in
+    # -1..1 above them
+    n = sum(map(len, blocks))
+    rows = [[0] * n for _ in range(n)]
+    start = 0
+    for c in blocks:
+        for r, row in enumerate(workloads.companion(c)):
+            rows[start + r][start:] = row + [rng.randint(-1, 1)
+                                             for _ in range(n - start - len(c))]
+        start += len(c)
+    return workloads.lit(rows)
+
+
+def reducible_jobs(workloads):
+    # (name, argv): fiber actions and K = 1 actions with reducible char(A)
+    rng = random.Random(29)
+    for i, blocks in enumerate(FIBER_SETS):
+        yield f"reducible/fiber/{i}", ["--matrix", block_matrix(workloads, rng, blocks)]
+    for i, blocks in enumerate(K1_SETS):
+        yield f"reducible/k1/{i}", ["--matrix", block_matrix(workloads, rng, blocks),
+                                    "--tensor-bound", "1"]
+
+
 def literal_jobs():
     # (name, argv, stdin): the jobs of the literal parser and the JSON echo
     big = "0x" + "f" * 3700
@@ -251,6 +308,7 @@ def extra_jobs(workloads):
                                         "--tensor-bound", str(K)]
     yield from cap_order(workloads)
     yield from galois_jobs(workloads)
+    yield from reducible_jobs(workloads)
 
 
 def main(src: str) -> dict:
