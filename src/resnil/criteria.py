@@ -1136,11 +1136,17 @@ def classify_general(
                 )
             )
 
-    # p has a certificate (A-E)^N = 0 mod p, N <= n, exactly when p divides
-    # every entry of (A-E)^n; then char(A) = (x-1)^n mod p, so p divides
+    # p has a certificate (A-E)^N = 0 mod p, N <= n, exactly when A - E is
+    # nilpotent mod p, that is when char(A - E) = char(A)(x + 1) is x^n mod
+    # p (Cayley-Hamilton one way): p divides each of its coefficients
+    # below the top, found by a Taylor shift of char(A).  Then p divides
     # every factor value at 1 too, and only the gcd of both is factored
     if not all_flag:
-        g = math.gcd(*A.minus_identity().power(n).entries, *af.values())
+        c = list(graded.char.coeffs)
+        for i in range(n):
+            for j in range(n - 1, i - 1, -1):
+                c[j] += c[j + 1]
+        g = math.gcd(*c[:n], *af.values())
         for p in prime_divisors(g):
             if p in proven:
                 continue

@@ -24,14 +24,20 @@ its coefficients.  From degree 5 it takes the Zassenhaus route.
 Other polynomials of higher degree follow the classical Zassenhaus
 route.  A polynomial that is squarefree modulo one of the primes 3..13
 not dividing its leading coefficient is squarefree over Z; only the
-others go through Yun's squarefree decomposition.  Each squarefree part
-gets its distinct-degree pattern modulo up to 4 small odd primes; the
-subset sums of each pattern bound the degrees of its true factors, and
-once their intersection is {0, deg} the part is irreducible (Musser's
-degree-set test).  Otherwise equal-degree splitting runs at the first
-prime with the fewest modular factors only, the factors are Hensel-lifted
-to a bound large enough to recover true factor coefficients, and subset
-recombination tries only subsets whose degree is in the intersection.
+others go through Yun's squarefree decomposition, and the first such
+prime starts the modular scan of the polynomial itself.  Each squarefree
+part gets its distinct-degree pattern modulo 2, where the Frobenius is
+one squaring, and modulo up to 4 small odd primes; the subset sums of
+each pattern bound the degrees of its true factors, and once their
+intersection is {0, deg} the part is irreducible (Musser's degree-set
+test).  The scan stops early at an odd prime that leaves at most three
+modular factors without shrinking the intersection.  Otherwise
+equal-degree splitting runs at the first odd prime with the fewest
+modular factors only, and the factors are Hensel-lifted just past twice
+Mignotte's bound for the coefficients of a factor of at most half the
+degree.  Subset recombination tries only subsets whose degree is in the
+intersection, and multiplies out whichever of a subset and its
+complement has at most half the degree of what is left.
 This keeps the package dependency free and is fast at the degree range
 used here: the classifier factors char(A) and, for its graded audits,
 one orbit polynomial P_mu per partition mu of k, or its pieces from
@@ -408,18 +414,22 @@ def _sub(a: list[int], b: list[int], m: int) -> list[int]:
 
 def _divmod(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int]]:
     # b nonzero with leading coefficient invertible mod m (any b mod a
-    # prime, a monic b mod a prime power)
-    inv = pow(b[-1], -1, m)
+    # prime, a monic b mod a prime power).  Each step reduces only the
+    # coefficient it divides, with no inverse product for a monic b; the
+    # remainder is reduced once, at the end
     db = len(b) - 1
-    rem = [c % m for c in a]
+    inv = 1 if b[-1] == 1 else pow(b[-1], -1, m)
+    rem = list(a)
     q = [0] * (len(rem) - db)
     for i in range(len(q) - 1, -1, -1):
-        c = rem[i + db] * inv % m
+        c = rem[i + db] % m
+        if inv != 1:
+            c = c * inv % m
         if c:
             q[i] = c
-            for j, y in enumerate(b):
-                rem[i + j] = (rem[i + j] - c * y) % m
-    return _trim(q), _trim(rem[:db])
+            for j in range(db):
+                rem[i + j] -= c * b[j]
+    return _trim(q), _trim([c % m for c in rem[:db]])
 
 def _zdivmod(a, b) -> tuple[list[int], list[int]] | None:
     # long division over Z by a nonzero b: (q, r) with a = b*q + r and
@@ -457,7 +467,7 @@ def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
 
 def _ppowmod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
     def mulmod(a, b):
-        return _divmod(_mul(a, b, p), mod, p)[1]
+        return _divmod(_conv(a, b), mod, p)[1]
 
     return _power(_divmod(base, mod, p)[1], e, mulmod, [1])
 
@@ -511,11 +521,16 @@ def _squarefree_mod_p(f: IntPoly, p: int) -> bool:
     return len(_pgcd(f.coeffs, df, p)) == 1
 
 
+def _small_squarefree_prime(f: IntPoly) -> int:
+    # the first of the primes 3..13 modulo which f is squarefree, or 0
+    return next((q for q in (3, 5, 7, 11, 13) if _squarefree_mod_p(f, q)), 0)
+
+
 def squarefree_mod_small_prime(f: IntPoly) -> bool:
     """True when f is squarefree modulo one of the primes 3..13 that do
     not divide its leading coefficient, which proves f squarefree over
     Z; False decides nothing."""
-    return any(_squarefree_mod_p(f, q) for q in (3, 5, 7, 11, 13))
+    return bool(_small_squarefree_prime(f))
 
 
 def _degree_set(parts: list[tuple[list[int], int]]) -> int:
@@ -586,14 +601,16 @@ def _symmetric(c: int, m: int) -> int:
     return c - m if c > m // 2 else c
 
 
-def _squarefree_primes(h: IntPoly):
+def _squarefree_primes(h: IntPoly, known: int = 0):
     # the odd primes p at which the monic h stays squarefree, in order;
-    # ArithmeticError once the skipped ones prove h is not squarefree
+    # ArithmeticError once the skipped ones prove h is not squarefree.
+    # A nonzero known is the first odd prime at which h was already found
+    # squarefree: it is not tested again, nor are the odd primes below it
     deg = h.degree()
     norm = math.isqrt(sum(c * c for c in h.coeffs)) + 1
     rejected = 1
     for p in filter(is_prime, itertools.count(3, 2)):
-        if _squarefree_mod_p(h, p):
+        if p == known or p > known and _squarefree_mod_p(h, p):
             yield p
             continue
         # p divides disc(h), and |disc h| <= deg^deg * norm^(2 deg - 1)
@@ -603,38 +620,56 @@ def _squarefree_primes(h: IntPoly):
             raise ArithmeticError(f"{h} is not squarefree")
 
 
-def _factor_monic_squarefree(h: IntPoly) -> list[IntPoly]:
+def _lift_target(h: IntPoly, p: int) -> int:
+    # the first power of p past 2 * C(m, m // 2) * ||h||_2, m = deg h // 2:
+    # a monic factor of h of degree at most m has every coefficient at
+    # most C(m, m // 2) * ||h||_2 in absolute value (Mignotte 1974), so
+    # lifted that far it is the symmetric residue of its modular image
+    m = h.degree() // 2
+    bound = 2 * math.comb(m, m // 2) * (math.isqrt(sum(c * c for c in h.coeffs)) + 1)
+    target = p
+    while target <= bound:
+        target *= p
+    return target
+
+
+def _factor_monic_squarefree(h: IntPoly, known: int = 0) -> list[IntPoly]:
+    # known as in _squarefree_primes
     deg = h.degree()
     if deg <= 1:
         return [h]
-    # Distinct-degree patterns at up to 4 primes keeping h squarefree:
-    # a true factor's degree is a subset sum of the modular degrees at
-    # every prime (Musser's degree-set test), so once the intersection
-    # is {0, deg} h is irreducible; a single modular factor is the case
-    # of one prime.  Otherwise split and lift at the first prime with
-    # the fewest modular factors.
+    # Distinct-degree patterns mod 2, when h stays squarefree there, and
+    # at up to 4 odd primes keeping h squarefree: a true factor's degree
+    # is a subset sum of the modular degrees at every prime (Musser's
+    # degree-set test), so once the intersection is {0, deg} h is
+    # irreducible; a single modular factor is the case of one prime.  The
+    # scan stops early at an odd prime that leaves at most three modular
+    # factors and does not shrink the intersection.  Otherwise split and
+    # lift at the first odd prime with the fewest modular factors.
     whole = 1 | 1 << deg
     mask = (1 << (deg + 1)) - 1
-    norm = math.isqrt(sum(c * c for c in h.coeffs)) + 1
-    tried = []
-    for p in _squarefree_primes(h):
-        parts = _distinct_degree([c % p for c in h.coeffs], p)
-        mask &= _degree_set(parts)
+    if _squarefree_mod_p(h, 2):
+        mask = _degree_set(_distinct_degree([c % 2 for c in h.coeffs], 2))
         if mask == whole:
             return [h]
-        tried.append((sum((len(g) - 1) // d for g, d in parts), p, parts))
-        if len(tried) == 4:
+    tried = []
+    for p in _squarefree_primes(h, known):
+        parts = _distinct_degree([c % p for c in h.coeffs], p)
+        count = sum((len(g) - 1) // d for g, d in parts)
+        tried.append((count, p, parts))
+        kept, mask = mask, mask & _degree_set(parts)
+        if mask == whole:
+            return [h]
+        if len(tried) == 4 or count <= 3 and mask == kept:
             break
     _, p, parts = min(tried, key=operator.itemgetter(0))
     rng = random.Random(0xC0FFEE + p)
     facs = [f for g, d in parts for f in _equal_degree(g, d, p, rng)]
-    # lift far enough that true factor coefficients sit in the symmetric range
-    bound = 2 * (norm << deg)
-    target = p
-    while target <= bound:
-        target *= p
+    target = _lift_target(h, p)
     lifted = _hensel_tree(list(h.coeffs), facs, p, target)
-    # subset recombination with constant-term pruning
+    # subset recombination with constant-term pruning.  Of a subset and
+    # its complement, the side of degree at most deg(rem)/2 is multiplied
+    # out and tried: the lift recovers its coefficients
     out: list[IntPoly] = []
     pool = lifted
     rem = h
@@ -643,12 +678,15 @@ def _factor_monic_squarefree(h: IntPoly) -> list[IntPoly]:
         h0 = rem.constant()
         for idxs in itertools.combinations(range(len(pool)), c):
             # a true factor's degree is in the degree set
-            if not mask >> sum(len(pool[i]) - 1 for i in idxs) & 1:
+            d = sum(len(pool[i]) - 1 for i in idxs)
+            if not mask >> d & 1:
                 continue
-            t0 = _symmetric(math.prod(pool[i][0] for i in idxs), target)
+            side = idxs if 2 * d <= rem.degree() else [
+                i for i in range(len(pool)) if i not in idxs]
+            t0 = _symmetric(math.prod(pool[i][0] for i in side), target)
             if t0 == 0 or h0 % t0:
                 continue
-            prod = _prod((pool[i] for i in idxs), target)
+            prod = _prod((pool[i] for i in side), target)
             cand = IntPoly(_symmetric(x, target) for x in prod)
             q = try_exact_div(rem, cand)
             if q is not None:
@@ -656,21 +694,24 @@ def _factor_monic_squarefree(h: IntPoly) -> list[IntPoly]:
         else:
             c += 1
             continue
-        out.append(cand)
-        rem = q
+        # the factor of the subset idxs is irreducible, since no smaller
+        # subset gave one; the rest stays to be split
+        out.append(cand if side is idxs else q)
+        rem = q if side is idxs else cand
         pool = [g for i, g in enumerate(pool) if i not in idxs]
     if rem.degree() > 0:
         out.append(rem)
     return out
 
 
-def _factor_primitive_squarefree(f: IntPoly) -> list[IntPoly]:
-    # f primitive, squarefree, positive leading coefficient, f(0) != 0
+def _factor_primitive_squarefree(f: IntPoly, known: int = 0) -> list[IntPoly]:
+    # f primitive, squarefree, positive leading coefficient, f(0) != 0;
+    # known as in _squarefree_primes
     if f.degree() == 1:
         return [f]
     b = f.leading()
     if b == 1:
-        return _factor_monic_squarefree(f)
+        return _factor_monic_squarefree(f, known)
     # substitute y = b*x to reach a monic polynomial, factor, map back
     n = f.degree()
     monic = IntPoly([c * b ** (n - 1 - i) for i, c in enumerate(f.coeffs[:-1])] + [1])
@@ -708,11 +749,10 @@ def _integer_roots(S: int, T: int) -> tuple[int, int] | None:
 def _factor_zassenhaus(f: IntPoly) -> list[tuple[IntPoly, int]]:
     # f primitive with positive leading coefficient.  f squarefree mod a
     # prime not dividing lc(f) is squarefree over Z, which spares Yun's
-    # pseudo-remainder gcds in the common case
-    if squarefree_mod_small_prime(f):
-        parts = [(f, 1)]
-    else:
-        parts = squarefree_decomposition(f)
+    # pseudo-remainder gcds in the common case; the modular scan of f
+    # itself then starts at that prime
+    known = _small_squarefree_prime(f)
+    parts = [(f, 1)] if known else squarefree_decomposition(f)
     counts: dict[IntPoly, int] = {}
     for part, mult in parts:
         v = part.trailing_zeros()
@@ -722,7 +762,7 @@ def _factor_zassenhaus(f: IntPoly) -> list[tuple[IntPoly, int]]:
             part = part.shift_down(v)
         if part.degree() < 1:
             continue
-        for irr in _factor_primitive_squarefree(part):
+        for irr in _factor_primitive_squarefree(part, known if part is f else 0):
             counts[irr] = counts.get(irr, 0) + mult
     return list(counts.items())
 

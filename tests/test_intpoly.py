@@ -390,6 +390,21 @@ class TestFactorization:
         with_alarm(30, check)
 
 
+def record_scan(monkeypatch):
+    # the (prime, modular degree pattern) of every distinct-degree
+    # factorization from here on, in order
+    scanned = []
+    real = intpoly._distinct_degree
+
+    def distinct_degree(h, p):
+        parts = real(h, p)
+        scanned.append((p, sorted(d for g, d in parts for _ in range((len(g) - 1) // d))))
+        return parts
+
+    monkeypatch.setattr(intpoly, "_distinct_degree", distinct_degree)
+    return scanned
+
+
 class TestModularShortcuts:
     def test_degree_sets_prove_irreducible_without_lifting(self, monkeypatch):
         # x^4 - 3x - 3 (Eisenstein at 3): degree patterns (1,3) mod 5
@@ -404,6 +419,46 @@ class TestModularShortcuts:
 
         monkeypatch.setattr(intpoly, "_hensel_tree", refuse)
         assert factor_over_Z(f).factors == ((f, 1),)
+        # x^4 - 3x - 3 is x^4 + x + 1 mod 2, irreducible there.  This
+        # quintic is not squarefree mod 2, so the odd primes decide: (1,1,
+        # 1,2) mod 3 rules out nothing, (2,3) mod 5 and (1,4) mod 7 meet in
+        # {0, 5}
+        g = IntPoly([-3, -2, -2, 1, -1, 1])
+        scanned = record_scan(monkeypatch)
+        assert factor_over_Z(g).factors == ((g, 1),)
+        assert scanned == [(3, [1, 1, 1, 2]), (5, [2, 3]), (7, [1, 4])]
+
+    def test_p2_alone_proves_whole(self, monkeypatch):
+        # x^6 - x - 1 and x^7 + x - 1 are irreducible mod 2
+        def refuse(*args):
+            raise AssertionError("lifted a polynomial irreducible mod 2")
+
+        monkeypatch.setattr(intpoly, "_hensel_tree", refuse)
+        scanned = record_scan(monkeypatch)
+        for n, cs in ((6, [-1, -1, 0, 0, 0, 0, 1]), (7, [-1, 1, 0, 0, 0, 0, 0, 1])):
+            scanned.clear()
+            f = IntPoly(cs)
+            assert factor_over_Z(f).factors == ((f, 1),)
+            assert scanned == [(2, [n])]
+
+    def test_scan_stops_at_three_modular_factors(self, monkeypatch):
+        # x^5 + x - 1 = (x^2 - x + 1)(x^3 + x^2 - 1) is (2,3) mod 2; 3
+        # divides its discriminant 3 * 7^2 * 23, and (1,2,2) mod 5 leaves
+        # three factors and the same degree set, so it splits at 5
+        scanned = record_scan(monkeypatch)
+        split = []
+        real = intpoly._equal_degree
+
+        def equal_degree(g, d, p, rng):
+            split.append(p)
+            return real(g, d, p, rng)
+
+        monkeypatch.setattr(intpoly, "_equal_degree", equal_degree)
+        f = IntPoly([-1, 1, 0, 0, 0, 1])
+        assert factor_over_Z(f).factors == (
+            (IntPoly([1, -1, 1]), 1), (IntPoly([-1, 0, 1, 1]), 1))
+        assert scanned == [(2, [2, 3]), (5, [1, 2, 2])]
+        assert set(split) == {5}
 
     def test_irreducible_through_recombination(self, monkeypatch):
         # reducible mod every prime, so only recombination shows them whole
@@ -498,6 +553,79 @@ def rand_unit_products(seed, count):
         if f.degree() >= 3:
             count -= 1
             yield f
+
+
+def rand_big_factor_products(seed, count):
+    # monic squarefree products of degree 9-16 with a factor above half
+    # the degree: a random monic of degree 5-12 (irreducible or not) times
+    # x^4 + 1 or x^4 - 10x^2 + 1, which split modulo every prime
+    rng = random.Random(seed)
+    while count:
+        big = IntPoly([rng.choice([1, -1, 2, -3])] + [rng.randint(-3, 3)
+                                                      for _ in range(rng.randint(4, 11))] + [1])
+        f = big * rng.choice([IntPoly([1, 0, 0, 0, 1]), IntPoly([1, 0, -10, 0, 1])])
+        if intpoly.squarefree_mod_small_prime(f):
+            count -= 1
+            yield f
+
+
+class TestShortLift:
+    """Hensel lifting stops past the Mignotte bound for factors of degree
+    at most half, and recombination tries the side of each subset of
+    degree at most half the remainder."""
+
+    def test_factors_above_half_the_degree(self, monkeypatch):
+        try:
+            import sympy
+        except ImportError:
+            sympy = None
+        lifts = []
+        real_lift, real_div = intpoly._hensel_tree, intpoly.try_exact_div
+
+        def lift(f, facs, p, target):
+            lifts.append((facs, p, target))
+            return real_lift(f, facs, p, target)
+
+        def exact_div(rem, cand):
+            # every candidate multiplied out is the small side
+            assert 2 * cand.degree() <= rem.degree()
+            return real_div(rem, cand)
+
+        monkeypatch.setattr(intpoly, "_hensel_tree", lift)
+        monkeypatch.setattr(intpoly, "try_exact_div", exact_div)
+
+        def check():
+            first_found = 0
+            for h in rand_big_factor_products(223, 150):
+                lifts.clear()
+                out = sorted(intpoly._factor_monic_squarefree(h), key=IntPoly.sort_key)
+                assert math.prod(out, start=IntPoly((1,))) == h
+                if sympy is not None:
+                    assert str(FactorizationZ(1, 1, tuple((g, 1) for g in out))) == \
+                        sympy_factorization(sympy, h), h
+                facs, p, target = lifts[0]
+                # the first power of p past 2 C(m, m // 2) ||h||_2, m = deg h // 2
+                m = h.degree() // 2
+                bound = 2 * math.comb(m, m // 2) * (math.isqrt(sum(c * c for c in h.coeffs)) + 1)
+                assert target == intpoly._lift_target(h, p) and target // p <= bound < target
+                # every product of true factors of degree at most half,
+                # and so the complement of each larger one, lies within
+                # the symmetric range of the target
+                for r in range(1, len(out)):
+                    for sub in itertools.combinations(out, r):
+                        g = math.prod(sub, start=IntPoly((1,)))
+                        if 2 * g.degree() <= h.degree():
+                            assert 2 * max(map(abs, g.coeffs)) < target, (h, g)
+                # a factor above half the degree with fewer modular
+                # factors than every other is the first one found, from
+                # the complement of its subset
+                count = {g: sum(not intpoly._divmod(g.coeffs, m, p)[1] for m in facs) for g in out}
+                big = max(out, key=IntPoly.degree)
+                first_found += 2 * big.degree() > h.degree() and all(
+                    count[big] < count[g] for g in out if g is not big)
+            assert first_found >= 30
+
+        with_alarm(60, check)
 
 
 class TestUnitFront:
