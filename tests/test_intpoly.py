@@ -556,9 +556,10 @@ def rand_unit_products(seed, count):
 
 
 def rand_big_factor_products(seed, count):
-    # monic squarefree products of degree 9-16 with a factor above half
-    # the degree: a random monic of degree 5-12 (irreducible or not) times
-    # x^4 + 1 or x^4 - 10x^2 + 1, which split modulo every prime
+    # products of degree 9-16, squarefree mod one of 3..13: a random
+    # monic of degree 5-12, above half the degree and irreducible in most
+    # draws, times x^4 + 1 or x^4 - 10x^2 + 1, which split modulo every
+    # prime
     rng = random.Random(seed)
     while count:
         big = IntPoly([rng.choice([1, -1, 2, -3])] + [rng.randint(-3, 3)
@@ -619,7 +620,7 @@ class TestShortLift:
                 # a factor above half the degree with fewer modular
                 # factors than every other is the first one found, from
                 # the complement of its subset
-                count = {g: sum(not intpoly._divmod(g.coeffs, m, p)[1] for m in facs) for g in out}
+                count = {g: sum(not intpoly._divmod(g.coeffs, u, p)[1] for u in facs) for g in out}
                 big = max(out, key=IntPoly.degree)
                 first_found += 2 * big.degree() > h.degree() and all(
                     count[big] < count[g] for g in out if g is not big)
