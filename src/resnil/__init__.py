@@ -19,7 +19,6 @@ from .zlinalg import (
     SmithForm,
     SubLattice,
     char_poly,
-    compound_matrix,
     determinant,
     hermite_form,
     is_unimodular,
@@ -42,9 +41,7 @@ from .freegroup import (
 )
 from .liealg import (
     DEFAULT_WITT_CAP,
-    LieElement,
     LyndonBasis,
-    bracket_normal_form,
     induced_lie_matrix,
     lyndon_basis,
     lyndon_count,

@@ -108,8 +108,12 @@ def _validated_primes(primes: Iterable[int]) -> tuple[int, ...]:
 
 
 def _require_square(A: IntMatrix) -> None:
+    # a 0x0 action is refused: its group is Z, and the empty
+    # det(A - E) = 1 would read as a unit displacement
     if not A.is_square():
         raise NotSquare(f"matrix is {A.rows}x{A.cols}")
+    if not A.rows:
+        raise DimensionMismatch("matrix is 0x0: the fiber needs rank at least 1")
 
 
 def _require_unimodular(A: IntMatrix) -> int:
@@ -656,7 +660,8 @@ class _GradedFactors:
 
     def _block_sums(self, f: IntPoly, need: int) -> list[int]:
         # at least `need` power sums of the roots of f^e; grown
-        # geometrically, since at rank 1 every level needs one more
+        # geometrically, since each audit level asks for more than the
+        # last (deg f more at a quadratic block: 4, 6, ..., 2K)
         t = self._block_traces.get(f, [])
         if len(t) < need:
             e = self._blocks[f]
@@ -783,6 +788,7 @@ class AuditRecord:
 def _check_tensor_cap(n: int, K: int, side_cap: int) -> None:
     # for n >= 2 some n^k with k <= side_cap passes the cap first; the
     # bound on K itself is what caps rank 1, where n^k stays 1
+    (side_cap,) = _ints((side_cap,))
     for k in range(1, min(K, side_cap) + 1):
         kronecker_side(n, k, side_cap)
     if K > side_cap:
@@ -790,6 +796,7 @@ def _check_tensor_cap(n: int, K: int, side_cap: int) -> None:
 
 
 def _check_lie_cap(n: int, K: int, witt_cap: int) -> None:
+    (witt_cap,) = _ints((witt_cap,))
     for k in range(1, K + 1):
         capped_witt_dimension(n, k, witt_cap)
 
@@ -806,12 +813,16 @@ def _audit_levels(
     return out
 
 
-def _check_audit_input(A: IntMatrix, K: int, primes: Iterable[int]) -> tuple[int, ...]:
-    """The requested primes, validated, once A is unimodular and K >= 1."""
+def _check_audit_input(
+    A: IntMatrix, K: int, primes: Iterable[int]
+) -> tuple[int, tuple[int, ...]]:
+    """K as an int and the requested primes, validated, once A is
+    unimodular and K >= 1."""
     _require_unimodular(A)
+    (K,) = _ints((K,))
     if K < 1:
         raise ValueError("bound K must be at least 1")
-    return _validated_primes(primes)
+    return K, _validated_primes(primes)
 
 
 def tensor_power_audit(
@@ -828,7 +839,7 @@ def tensor_power_audit(
     from the traces tr(A^s) and factored on its own.  The side cap
     still bounds n^k, the degree of char(A^{(x)k}).
     """
-    _check_audit_input(A, K, () if p is None else (p,))
+    K, _ = _check_audit_input(A, K, () if p is None else (p,))
     _check_tensor_cap(A.rows, K, side_cap)
     return _audit_levels(_GradedFactors(A), K, p, lie=False)
 
@@ -847,7 +858,7 @@ def lie_component_audit(
     Lyndon word (see _GradedFactors).  The Witt cap still bounds the
     Witt dimension, the degree of char(A | L_k).
     """
-    _check_audit_input(A, K, () if p is None else (p,))
+    K, _ = _check_audit_input(A, K, () if p is None else (p,))
     _check_lie_cap(A.rows, K, witt_cap)
     return _audit_levels(_GradedFactors(A), K, p, lie=True)
 
@@ -1081,7 +1092,7 @@ def classify_general(
     A = abelianization_matrix(obj) if isinstance(obj, FreeEndo) else obj
     n = A.rows
     K = tensor_bound if tensor_bound is not None else (4 if n == 2 else 3)
-    req = _check_audit_input(A, K, primes)
+    K, req = _check_audit_input(A, K, primes)
     # det(A - E) = +-1 decides rank >= 3 without the caps, so it is taken
     # by Bareiss; any other input meets the caps before char(A) is formed
     dAe = determinant(A.minus_identity())

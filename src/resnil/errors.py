@@ -31,10 +31,6 @@ class PrimalityUnproven(SizeCapExceeded):
     is a proof."""
 
 
-class BadCompoundOrder(ResnilError):
-    """Compound matrix order k must satisfy 1 <= k <= n."""
-
-
 class NotUnimodular(ResnilError):
     """The matrix must have determinant +1 or -1."""
 
@@ -73,7 +69,3 @@ class BadModulus(ResnilError):
 
 class Not2x2(ResnilError):
     """This classification applies to 2 x 2 matrices only."""
-
-
-class AlphabetMismatch(ResnilError):
-    """Lie elements over different alphabets cannot be combined."""

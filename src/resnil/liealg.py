@@ -1,13 +1,14 @@
-"""Free Lie algebra bookkeeping on Lyndon word bases.
+"""Free Lie algebra dimensions and Lyndon word bases.
 
-The degree-k component of the free Lie algebra on n symbols has a basis
-indexed by Lyndon words of length k, each carrying its standard
-bracketing.  Normal forms are computed by expanding brackets in the
-free associative algebra and eliminating against the Lyndon basis,
-whose expansions are triangular with leading coefficient 1 for the
-lexicographic word order.  That makes the reduction terminate by
-construction and turns antisymmetry and the Jacobi identity into
-theorems rather than rewrite rules.
+The degree-k component L_k of the free Lie algebra on n symbols has
+rank witt_dimension(n, k), and lyndon_count counts its basis words of
+each content; the classifier reads its level sizes and caps from
+these.  L_k has a basis indexed by the Lyndon words of length k, each
+carrying its standard bracketing.  induced_lie_matrix writes a
+substitution's action in that basis: it expands each image bracket in
+the free associative algebra and eliminates against the basis, whose
+expansions are triangular with leading coefficient 1 for the
+lexicographic word order, so the elimination ends by construction.
 """
 
 from __future__ import annotations
@@ -16,20 +17,17 @@ import dataclasses
 import functools
 import math
 
-from .errors import AlphabetMismatch, NotSquare, SizeCapExceeded
+from .errors import NotSquare, SizeCapExceeded
 from .primes import prime_divisors
 from .zlinalg import IntMatrix
 
 __all__ = [
     "LyndonBasis",
-    "LieElement",
     "DEFAULT_WITT_CAP",
     "witt_dimension",
     "lyndon_count",
     "capped_witt_dimension",
-    "lie_power_sums",
     "lyndon_basis",
-    "bracket_normal_form",
     "induced_lie_matrix",
 ]
 
@@ -86,24 +84,6 @@ def capped_witt_dimension(n: int, k: int, witt_cap: int = DEFAULT_WITT_CAP) -> i
     if dim > witt_cap:
         raise SizeCapExceeded(f"Witt dimension {dim} exceeds cap {witt_cap}")
     return dim
-
-
-def lie_power_sums(traces, k: int, count: int) -> list[int]:
-    """Traces of A^j on the degree-k free Lie component, j = 1..count,
-    from traces[i - 1] = tr(A^i) for i up to k * count.
-
-    Brandt's character formula (Brandt 1944):
-    tr(A^j | L_k) = (1/k) * sum over d | k of mobius(d) * tr(A^(jd))^(k/d).
-    At A = E it is witt_dimension.
-    """
-    terms = _mobius_terms(k)
-    out = []
-    for j in range(1, count + 1):
-        total = sum(mu * traces[j * d - 1] ** (k // d) for d, mu in terms)
-        if total % k:
-            raise ArithmeticError(f"Brandt sum at j={j} is not divisible by {k}")
-        out.append(total // k)
-    return out
 
 
 def _is_lyndon(w: Word) -> bool:
@@ -208,14 +188,6 @@ class LyndonBasis:
     words: tuple[Word, ...]
     trees: tuple[object, ...]
 
-    def bracket_string(self, index: int) -> str:
-        def render(t) -> str:
-            if isinstance(t, int):
-                return f"x{t}"
-            return f"[{render(t[0])},{render(t[1])}]"
-
-        return render(self.trees[index])
-
 
 @functools.lru_cache(maxsize=None)
 def lyndon_basis(n: int, k: int, witt_cap: int = DEFAULT_WITT_CAP) -> LyndonBasis:
@@ -229,64 +201,6 @@ def lyndon_basis(n: int, k: int, witt_cap: int = DEFAULT_WITT_CAP) -> LyndonBasi
     assert len(words) == dim
     trees = tuple(_bracket_tree(w) for w in words)
     return LyndonBasis(n, k, words, trees)
-
-
-@dataclasses.dataclass(frozen=True)
-class LieElement:
-    """Homogeneous element, coordinates over the Lyndon basis of its
-    degree (same order as LyndonBasis.words)."""
-
-    alphabet_size: int
-    degree: int
-    coords: tuple[int, ...]
-
-    @staticmethod
-    def from_word_index(n: int, k: int, index: int, coeff: int = 1) -> "LieElement":
-        basis = lyndon_basis(n, k)
-        coords = [0] * len(basis.words)
-        coords[index] = coeff
-        return LieElement(n, k, tuple(coords))
-
-    @staticmethod
-    def generator(n: int, g: int) -> "LieElement":
-        coords = [0] * n
-        coords[g - 1] = 1
-        return LieElement(n, 1, tuple(coords))
-
-    def is_zero(self) -> bool:
-        return not any(self.coords)
-
-    def to_assoc(self) -> dict[Word, int]:
-        basis = lyndon_basis(self.alphabet_size, self.degree)
-        out: dict[Word, int] = {}
-        for c, w in zip(self.coords, basis.words):
-            if c:
-                _add_into(out, c, _expand_word(w))
-        return out
-
-    def __str__(self) -> str:
-        basis = lyndon_basis(self.alphabet_size, self.degree)
-        parts = []
-        for i, c in enumerate(self.coords):
-            if c:
-                parts.append(f"{c:+d}*{basis.bracket_string(i)}")
-        return " ".join(parts) if parts else "0"
-
-
-def bracket_normal_form(
-    left: LieElement, right: LieElement, witt_cap: int = DEFAULT_WITT_CAP
-) -> LieElement:
-    """Lie bracket [left, right], expressed in the Lyndon basis of
-    degree deg(left) + deg(right)."""
-    if left.alphabet_size != right.alphabet_size:
-        raise AlphabetMismatch(
-            f"alphabets differ: {left.alphabet_size} vs {right.alphabet_size}"
-        )
-    n = left.alphabet_size
-    k = left.degree + right.degree
-    basis = lyndon_basis(n, k, witt_cap)
-    coords = _lyndon_coordinates(_bracket(left.to_assoc(), right.to_assoc()))
-    return LieElement(n, k, tuple(coords.get(w, 0) for w in basis.words))
 
 
 def induced_lie_matrix(

@@ -1,9 +1,9 @@
 """Exact integer linear algebra.
 
 Determinants (fraction-free Bareiss), characteristic polynomials
-(Newton's identities on power traces), Kronecker powers, compound
-matrices, column Hermite normal form, Smith normal form with recorded
-transforms, and sublattice membership.  No floating point anywhere.
+(Newton's identities on power traces), Kronecker powers, column
+Hermite normal form, Smith normal form with recorded transforms, and
+sublattice membership.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -14,13 +14,7 @@ import itertools
 import math
 import operator
 
-from .errors import (
-    BadCompoundOrder,
-    DimensionMismatch,
-    NotSquare,
-    NotUnimodular,
-    SizeCapExceeded,
-)
+from .errors import DimensionMismatch, NotSquare, NotUnimodular, SizeCapExceeded
 from .intpoly import IntPoly, _ints, _power, from_power_sums
 
 __all__ = [
@@ -32,7 +26,6 @@ __all__ = [
     "char_poly",
     "kronecker_power",
     "kronecker_side",
-    "compound_matrix",
     "hermite_form",
     "smith_form",
     "lattice_chain",
@@ -273,28 +266,6 @@ def kronecker_power(M: IntMatrix, k: int, side_cap: int = DEFAULT_SIDE_CAP) -> I
     for _ in range(k - 1):
         acc = _kron(acc, M)
     return acc
-
-
-def _submatrix(M: IntMatrix, rows_sel, cols_sel) -> IntMatrix:
-    ents = [M.get(i, j) for i in rows_sel for j in cols_sel]
-    return IntMatrix(len(rows_sel), len(cols_sel), ents)
-
-
-def compound_matrix(M: IntMatrix, k: int) -> IntMatrix:
-    """k-th compound: minors over k-subsets of rows and columns.
-
-    Subsets are enumerated in lexicographic order on both axes.  The
-    eigenvalues of the result are the k-fold products of eigenvalues of
-    M, which is what makes this useful for eigenvalue-product tests.
-    """
-    if not M.is_square():
-        raise NotSquare("compound matrix needs a square matrix")
-    n = M.rows
-    if not 1 <= k <= n:
-        raise BadCompoundOrder(f"order {k} outside 1..{n}")
-    subs = list(itertools.combinations(range(n), k))
-    ents = [determinant(_submatrix(M, S, T)) for S in subs for T in subs]
-    return IntMatrix(len(subs), len(subs), ents)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

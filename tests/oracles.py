@@ -1,11 +1,13 @@
 """Independent reference implementations used to cross-check the
 library.  Everything here is deliberately naive and shares no code
 with the package: factorization by divisor interpolation, Lyndon
-words by rotation minimality, determinants by Laplace expansion,
-Smith invariants by gcds of minors, lattice membership by rational
-elimination, characteristic polynomials by Faddeev-LeVerrier, matrix
-literals by ast.literal_eval alone.  alarm and with_alarm bound the time a check may take,
-so that a hang fails the suite."""
+words by rotation minimality, traces on free Lie components by
+Brandt's formula over a trial-division Moebius function, determinants
+and compound matrices by Laplace expansion, Smith invariants by gcds
+of minors, lattice membership by rational elimination, characteristic
+polynomials by Faddeev-LeVerrier, matrix literals by ast.literal_eval
+alone.  alarm and with_alarm bound the time a check may take, so that
+a hang fails the suite."""
 
 from __future__ import annotations
 
@@ -230,6 +232,21 @@ def mobius_by_trial_division(d: int) -> int:
     return -out if d > 1 else out
 
 
+def brandt_power_sums(traces, k: int, count: int) -> list[int]:
+    """tr(A^j | L_k) for j = 1..count from traces[i - 1] = tr(A^i), by
+    Brandt's character formula (Brandt 1944): (1/k) * sum over every
+    d | k of mobius(d) * tr(A^(jd))^(k/d)."""
+    out = []
+    for j in range(1, count + 1):
+        total = sum(
+            mobius_by_trial_division(d) * traces[j * d - 1] ** (k // d)
+            for d in range(1, k + 1)
+            if k % d == 0
+        )
+        assert total % k == 0
+        out.append(total // k)
+    return out
+
 
 def lyndon_words_brute(n: int, k: int) -> list[tuple[int, ...]]:
     out = []
@@ -254,6 +271,17 @@ def laplace_det(rows: list[list[int]]) -> int:
         minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
         total += (-1) ** j * rows[0][j] * laplace_det(minor)
     return total
+
+
+def compound_by_minors(M: IntMatrix, k: int) -> IntMatrix:
+    """The k-th compound of a square M: its k x k minors, by Laplace
+    expansion, over the k-subsets of rows and of columns in
+    lexicographic order.  Its eigenvalues are the products of k
+    eigenvalues of M."""
+    rows = M.to_rows()
+    subs = list(itertools.combinations(range(M.rows), k))
+    ents = [laplace_det([[rows[i][j] for j in T] for i in S]) for S in subs for T in subs]
+    return IntMatrix(len(subs), len(subs), ents)
 
 
 def determinantal_divisors(M: IntMatrix) -> tuple[int, ...]:

@@ -57,20 +57,24 @@ from resnil.intpoly import (
 )
 from resnil.liealg import (
     induced_lie_matrix,
-    lie_power_sums,
     lyndon_count,
     witt_dimension,
 )
 from resnil.zlinalg import (
     IntMatrix,
     char_poly,
-    compound_matrix,
     determinant,
     kronecker_power,
     lattice_chain,
 )
 
-from oracles import random_unimodular, unit_kronecker_product, with_alarm
+from oracles import (
+    brandt_power_sums,
+    compound_by_minors,
+    random_unimodular,
+    unit_kronecker_product,
+    with_alarm,
+)
 
 M = IntMatrix.from_rows
 
@@ -430,7 +434,7 @@ class TestMikhailovModule:
         def by_compounds(A):
             B = A.minus_identity()
             for k in range(1, A.rows + 1):
-                C = compound_matrix(B, k)
+                C = compound_by_minors(B, k)
                 E = IntMatrix.identity(C.rows)
                 if determinant(C - E) == 0 or determinant(C + E) == 0:
                     return False
@@ -783,6 +787,54 @@ class TestClassifyGeneral:
         with pytest.raises(NotPrime):
             classify_general(M([[2, 1], [1, 1]]), primes=[4])
 
+    # every entry point that takes one action matrix, and classify_family
+    RANK_ZERO_CALLS = {
+        "classify_general": lambda Z0: classify_general(Z0),
+        "classify_general_endo": lambda Z0: classify_general(FreeEndo.identity(0)),
+        "classify_f2": lambda Z0: classify_f2(Z0),
+        "classify_family": lambda Z0: classify_family([Z0]),
+        "finite_index_resnil_subgroup": lambda Z0: finite_index_resnil_subgroup(Z0),
+        "af_criterion": lambda Z0: af_criterion(Z0),
+        "gamma_omega_is_fiber": lambda Z0: gamma_omega_is_fiber(Z0),
+        "integer_eigenvalue_criterion": lambda Z0: integer_eigenvalue_criterion(Z0),
+        "mod_p_unipotency": lambda Z0: mod_p_unipotency(Z0, 2),
+        "mikhailov_module_check": lambda Z0: mikhailov_module_check(Z0),
+        "tensor_power_audit": lambda Z0: tensor_power_audit(Z0, 2),
+        "lie_component_audit": lambda Z0: lie_component_audit(Z0, 2),
+    }
+
+    @pytest.mark.parametrize("entry", RANK_ZERO_CALLS)
+    def test_rank_zero_refused(self, entry):
+        # the group of a 0x0 action is Z, which is residually nilpotent;
+        # the empty det(A - E) = 1 once read as a proven length two
+        with pytest.raises(DimensionMismatch, match=r"^matrix is 0x0"):
+            self.RANK_ZERO_CALLS[entry](IntMatrix(0, 0, []))
+
+    def test_bounds_follow_the_integer_rule(self):
+        # K and the caps read True as 1 and 2.0 as 2; a bound of True
+        # used to be reported as "verified up to bound True"
+        A = M([[2, 1], [1, 1]])
+        v = classify_general(A, tensor_bound=True)
+        assert v.to_dict() == classify_general(A, tensor_bound=1).to_dict()
+        assert v.witnesses[-1].evidence.endswith("; verified up to bound 1")
+        assert (
+            classify_general(A, tensor_bound=2.0, side_cap=16.0, witt_cap=8.0).to_dict()
+            == classify_general(A, tensor_bound=2).to_dict()
+        )
+        assert tensor_power_audit(A, True) == tensor_power_audit(A, 1)
+        assert lie_component_audit(A, 2.0, witt_cap=2.0) == lie_component_audit(A, 2)
+        with pytest.raises(SizeCapExceeded, match=r"^Kronecker power side 2\^1 exceeds cap 1$"):
+            tensor_power_audit(A, True, side_cap=True)
+        with pytest.raises(SizeCapExceeded, match=r"^Witt dimension 2 exceeds cap 1$"):
+            lie_component_audit(A, 1, witt_cap=True)
+        for kwargs in ({"tensor_bound": 2.5}, {"side_cap": 2.5}, {"witt_cap": 2.5}):
+            with pytest.raises(TypeError, match=r"^non-integer value 2\.5$"):
+                classify_general(A, **kwargs)
+        with pytest.raises(TypeError, match=r"^non-integer value 2\.5$"):
+            tensor_power_audit(A, 2.5)
+        with pytest.raises(TypeError, match=r"^non-integer value 2\.5$"):
+            lie_component_audit(A, 2, witt_cap=2.5)
+
 
 class TestClassifyFamily:
     KLEIN = [M([[1, 0], [-2, 1]]), M([[-1, 0], [2, 1]])]
@@ -904,7 +956,7 @@ class TestAuditsFromPowerSums:
                 assert from_power_sums([t**k for t in power_sums(f, n**k)]) == T
                 L = char_poly(induced_lie_matrix(A, k))
                 dim = witt_dimension(n, k)
-                assert from_power_sums(lie_power_sums(power_sums(f, k * dim), k, dim)) == L
+                assert from_power_sums(brandt_power_sums(power_sums(f, k * dim), k, dim)) == L
                 for rec, P in ((trecs[k - 1], T), (lrecs[k - 1], L)):
                     pairs, nilpotent, p_bit = _matrix_path(P, p)
                     assert rec.k == k
@@ -943,7 +995,7 @@ def _power_sum_path(A, K):
     for k in range(1, K + 1):
         T = from_power_sums([t**k for t in power_sums(f, n**k)])
         dim = witt_dimension(n, k)
-        L = from_power_sums(lie_power_sums(power_sums(f, k * dim), k, dim))
+        L = from_power_sums(brandt_power_sums(power_sums(f, k * dim), k, dim))
         out.append((T, L))
     return out
 

@@ -6,7 +6,6 @@ import random
 import pytest
 
 from resnil.errors import (
-    BadCompoundOrder,
     DimensionMismatch,
     NotSquare,
     NotUnimodular,
@@ -17,7 +16,6 @@ from resnil.zlinalg import (
     IntMatrix,
     SubLattice,
     char_poly,
-    compound_matrix,
     determinant,
     hermite_form,
     is_unimodular,
@@ -233,34 +231,6 @@ class TestKroneckerPower:
         assert kronecker_power(M, 2, side_cap=4).rows == 4
         with pytest.raises(SizeCapExceeded):
             kronecker_power(M, 2, side_cap=3)
-
-
-class TestCompoundMatrix:
-    def test_extreme_orders(self):
-        rng = random.Random(71)
-        M = rand_matrix(rng, 4)
-        assert compound_matrix(M, 1) == M
-        C = compound_matrix(M, 4)
-        assert (C.rows, C.cols) == (1, 1)
-        assert C.get(0, 0) == determinant(M)
-
-    def test_cauchy_binet_multiplicativity(self):
-        rng = random.Random(73)
-        for n in (3, 4):
-            for _ in range(10):
-                A = rand_matrix(rng, n, -4, 4)
-                B = rand_matrix(rng, n, -4, 4)
-                for k in range(1, n + 1):
-                    lhs = compound_matrix(A * B, k)
-                    rhs = compound_matrix(A, k) * compound_matrix(B, k)
-                    assert lhs == rhs
-
-    def test_bad_order_rejected(self):
-        M = IntMatrix.identity(3)
-        with pytest.raises(BadCompoundOrder):
-            compound_matrix(M, 0)
-        with pytest.raises(BadCompoundOrder):
-            compound_matrix(M, 4)
 
 
 class TestHermite:
