@@ -48,7 +48,11 @@ through ``resnil.cli.main``, as ``perfbench/run.py`` runs it.  So do:
   E) = +-1, decided before any audit) and, at ``--tensor-bound 1``,
   actions of rank 9..12 that reach the prime gcd, with a cyclotomic
   block beside a non-cyclotomic one, two non-cyclotomic blocks, and a
-  block of multiplicity 2.
+  block of multiplicity 2;
+- high rank at ``--tensor-bound 1``: seeded conjugates of the companion
+  of x^n - 3x - 1 for n = 40, 60 and 80, by a signed permutation alone
+  and with 3 transvections, where char(A) of rank n is formed and
+  factored and the prime gcd is read from it.
 
 Prints a JSON map from job id to the sha256 of (exit code, stdout,
 stderr).  Two trees that print the same map give every job the same
@@ -271,6 +275,18 @@ def reducible_jobs(workloads):
                                     "--tensor-bound", "1"]
 
 
+def high_rank_jobs(workloads):
+    # (name, argv): conjugates of the companion of x^n - 3x - 1 at K = 1,
+    # with and without transvections
+    rng = random.Random(31)
+    for n in (40, 60, 80):
+        C = workloads.companion([-1, -3] + [0] * (n - 2))
+        for steps in (0, 3):
+            A = workloads.conjugate(rng, C, steps=steps)
+            yield f"high_rank/{n}/{steps}", ["--matrix", workloads.lit(A),
+                                             "--tensor-bound", "1"]
+
+
 def literal_jobs():
     # (name, argv, stdin): the jobs of the literal parser and the JSON echo
     big = "0x" + "f" * 3700
@@ -309,6 +325,7 @@ def extra_jobs(workloads):
     yield from cap_order(workloads)
     yield from galois_jobs(workloads)
     yield from reducible_jobs(workloads)
+    yield from high_rank_jobs(workloads)
 
 
 def main(src: str) -> dict:
