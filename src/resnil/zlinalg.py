@@ -1,9 +1,10 @@
 """Exact integer linear algebra.
 
 Determinants (fraction-free Bareiss), characteristic polynomials
-(Newton's identities on power traces), Kronecker powers, column
-Hermite normal form, Smith normal form with recorded transforms, and
-sublattice membership.  No floating point anywhere.
+(Hessenberg reduction modulo an odd N past twice a Hadamard bound on
+their coefficients), Kronecker powers, column Hermite normal form,
+Smith normal form with recorded transforms, and sublattice membership.
+No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 import operator
 
 from .errors import DimensionMismatch, NotSquare, NotUnimodular, SizeCapExceeded
-from .intpoly import IntPoly, _ints, _power, from_power_sums
+from .intpoly import IntPoly, _ints, _power
 
 __all__ = [
     "IntMatrix",
@@ -214,22 +215,94 @@ def is_unimodular(M: IntMatrix) -> bool:
 def char_poly(M: IntMatrix) -> IntPoly:
     """Monic characteristic polynomial det(x*I - M).
 
-    Newton's identities on the traces tr(M^j), j = 1..n; a division
-    that is not exact raises ArithmeticError.  Only M^1..M^h, h =
-    ceil(n/2), are formed: for j > h, tr(M^j) = tr(M^h M^(j-h)) is the
-    dot product of M^h's entries with those of M^(j-h) transposed.
+    M is reduced to upper Hessenberg form by similarity over Z/N, and
+    the char poly of that form comes from the recurrence on its leading
+    principal blocks (Cohen, A Course in Computational Algebraic Number
+    Theory, Algorithm 2.2.9).  The coefficient of x^(n-k) is, up to
+    sign, the sum of the principal k-minors of M, and each is at most
+    the product of its rows' Euclidean norms (Hadamard), so with r_i =
+    ||row_i||_2 every coefficient is at most prod_i (1 + r_i) <
+    prod_i (2 + floor(r_i)) in absolute value.  N is odd and past twice
+    that product, and the symmetric residues mod N are the coefficients.
+
+    N need not be prime.  Each step pivots on an entry that is a unit
+    mod N (a gcd test); a column with nonzero entries but no unit takes
+    the next odd N.  That loop ends: at a prime N every nonzero entry is
+    a unit.  The coefficient of x^(n-1) is checked against -tr M over Z.
+    A matrix of side at most 2 is already Hessenberg, and its recurrence
+    runs over Z.
     """
     if not M.is_square():
         raise NotSquare("characteristic polynomial needs a square matrix")
     n = M.rows
-    powers = [M] if n else []
-    while len(powers) < (n + 1) // 2:
-        powers.append(powers[-1] * M)
-    traces = [N.trace() for N in powers]
-    for N in powers[: n - len(powers)]:
-        flipped = itertools.chain.from_iterable(N.col(i) for i in range(n))
-        traces.append(sum(map(operator.mul, powers[-1].entries, flipped)))
-    return from_power_sums(traces)
+    if n <= 2:
+        if n < 2:
+            return IntPoly([-M.entries[0], 1] if n else [1])
+        a, b, c, d = M.entries
+        return IntPoly([a * d - b * c, -a - d, 1])
+    rows = M.to_rows()
+    N = 2 * math.prod(2 + math.isqrt(sum(map(operator.mul, r, r))) for r in rows) + 1
+    H = _hessenberg_mod(rows, N)
+    while H is None:
+        N += 2
+        H = _hessenberg_mod(rows, N)
+    # p[m] = det(x*I - H_m), H_m the leading m x m block of H: expanding
+    # along the last column, p[m+1] = (x - h_mm) p[m] - sum over i < m of
+    # h_im h_(i+1,i) ... h_(m,m-1) p[i]
+    p = [[1]]
+    for m in range(n):
+        prev = p[-1]
+        h = H[m][m]
+        acc = [-h * prev[0]] + [a - h * b for a, b in zip(prev, prev[1:])] + [1]
+        t = 1
+        for i in range(m - 1, -1, -1):
+            t = t * H[i + 1][i] % N
+            if not t:
+                break
+            c = H[i][m] * t
+            if c:
+                for k, b in enumerate(p[i]):
+                    acc[k] -= c * b
+        p.append([a % N for a in acc])
+    half = N // 2
+    coeffs = [a - N if a > half else a for a in p[-1]]
+    assert -coeffs[n - 1] == sum(r[i] for i, r in enumerate(rows)), "char poly is not tr M"
+    return IntPoly(coeffs)
+
+
+def _hessenberg_mod(rows: list[list[int]], N: int) -> list[list[int]] | None:
+    # rows mod N of an upper Hessenberg matrix similar over Z/N to the
+    # square matrix of the given rows, or None when a column below the
+    # subdiagonal has nonzero entries but none that is a unit mod N
+    n = len(rows)
+    H = [[e % N for e in r] for r in rows]
+    for m in range(1, n - 1):
+        col = m - 1
+        for piv in range(m, n):
+            if math.gcd(H[piv][col], N) == 1:
+                break
+        else:
+            if any(H[i][col] for i in range(m, n)):
+                return None
+            continue
+        if piv != m:
+            H[piv], H[m] = H[m], H[piv]
+            for row in H:
+                row[piv], row[m] = row[m], row[piv]
+        # clear H[i][col] below row m: row i minus u times row m, then, for
+        # the similarity, column m plus u times column i
+        inv = pow(H[m][col], -1, N)
+        rm = H[m]
+        for i in range(m + 1, n):
+            u = H[i][col]
+            if u:
+                u = u * inv % N
+                H[i] = [(x - u * y) % N for x, y in zip(H[i], rm)]
+                for row in H:
+                    row[m] += u * row[i]
+        for row in H:
+            row[m] %= N
+    return H
 
 
 def _kron(A: IntMatrix, B: IntMatrix) -> IntMatrix:

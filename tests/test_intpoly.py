@@ -392,16 +392,23 @@ class TestFactorization:
 
 def record_scan(monkeypatch):
     # the (prime, modular degree pattern) of every distinct-degree
-    # factorization from here on, in order
+    # factorization from here on, in order: mod 2 on bitmasks, the odd
+    # primes on coefficient lists
     scanned = []
-    real = intpoly._distinct_degree
+    real, real2 = intpoly._distinct_degree, intpoly._distinct_degree2
 
     def distinct_degree(h, p):
         parts = real(h, p)
         scanned.append((p, sorted(d for g, d in parts for _ in range((len(g) - 1) // d))))
         return parts
 
+    def distinct_degree2(h):
+        parts = real2(h)
+        scanned.append((2, sorted(d for g, d in parts for _ in range((g.bit_length() - 1) // d))))
+        return parts
+
     monkeypatch.setattr(intpoly, "_distinct_degree", distinct_degree)
+    monkeypatch.setattr(intpoly, "_distinct_degree2", distinct_degree2)
     return scanned
 
 
@@ -444,21 +451,32 @@ class TestModularShortcuts:
     def test_scan_stops_at_three_modular_factors(self, monkeypatch):
         # x^5 + x - 1 = (x^2 - x + 1)(x^3 + x^2 - 1) is (2,3) mod 2; 3
         # divides its discriminant 3 * 7^2 * 23, and (1,2,2) mod 5 leaves
-        # three factors and the same degree set, so it splits at 5
+        # three factors and the same degree set, so the scan stops there.
+        # Mod 2 each distinct-degree part is one irreducible and there are
+        # only two, so it splits at 2 with no equal-degree step
         scanned = record_scan(monkeypatch)
-        split = []
-        real = intpoly._equal_degree
+        split, lifted = [], []
+        real_split, real_lift = intpoly._equal_degree, intpoly._hensel_tree
 
         def equal_degree(g, d, p, rng):
             split.append(p)
-            return real(g, d, p, rng)
+            return real_split(g, d, p, rng)
+
+        def hensel_tree(f, facs, p, target):
+            lifted.append((p, facs))
+            return real_lift(f, facs, p, target)
 
         monkeypatch.setattr(intpoly, "_equal_degree", equal_degree)
+        monkeypatch.setattr(intpoly, "_hensel_tree", hensel_tree)
         f = IntPoly([-1, 1, 0, 0, 0, 1])
         assert factor_over_Z(f).factors == (
             (IntPoly([1, -1, 1]), 1), (IntPoly([-1, 0, 1, 1]), 1))
         assert scanned == [(2, [2, 3]), (5, [1, 2, 2])]
-        assert set(split) == {5}
+        assert split == []
+        # x^2 + x + 1 and x^3 + x + 1 mod 2, lifted at 2 (the tree
+        # recurses on each half)
+        assert lifted[0] == (2, [[1, 1, 1], [1, 0, 1, 1]])
+        assert {p for p, _ in lifted} == {2}
 
     def test_irreducible_through_recombination(self, monkeypatch):
         # reducible mod every prime, so only recombination shows them whole
@@ -535,6 +553,60 @@ class TestModularShortcuts:
         for cs in ([1, -2, 1], [1, 0, 2, 0, 1]):
             with pytest.raises(ArithmeticError):
                 with_alarm(5, lambda: intpoly._factor_monic_squarefree(IntPoly(cs)))
+
+
+class TestBitmasksModTwo:
+    """The mod-2 stage on int bitmasks (bit i the coefficient of x^i)
+    agrees with the coefficient-list kernel at p = 2."""
+
+    def test_squarefree_and_distinct_degree_match_lists(self):
+        rng = random.Random(89)
+        squarefree = 0
+        for _ in range(3000):
+            deg = rng.randint(1, 40)
+            f = IntPoly([rng.randint(-3, 3) for _ in range(deg)] + [rng.choice([1, -1, 3])])
+            if rng.random() < 0.2:
+                f = f * IntPoly([rng.randint(-2, 2), 1]) ** 2
+            h = intpoly._bits(f.coeffs)
+            assert intpoly._bits_to_list(h) == [c % 2 for c in f.coeffs]
+            assert intpoly._squarefree2(h) == intpoly._squarefree_mod_p(f, 2)
+            if intpoly._squarefree2(h):
+                squarefree += 1
+                parts = [(intpoly._bits_to_list(g), d) for g, d in intpoly._distinct_degree2(h)]
+                assert parts == intpoly._distinct_degree([c % 2 for c in f.coeffs], 2)
+        assert squarefree > 1000
+
+    def test_sympy_on_unit_products_with_cyclotomic_factors(self, monkeypatch):
+        # x^5 + x - 1 = Phi_6 (x^3 + x^2 - 1) is the shape: a cyclotomic
+        # factor beside a unit factor, degree 5-16; some of them lift at 2
+        sympy = pytest.importorskip("sympy")
+        primes = set()
+        real = intpoly._hensel_tree
+
+        def hensel_tree(f, facs, p, target):
+            primes.add(p)
+            return real(f, facs, p, target)
+
+        monkeypatch.setattr(intpoly, "_hensel_tree", hensel_tree)
+        x = sympy.Symbol("x")
+        cyclotomic = [IntPoly([int(c) for c in sympy.Poly(sympy.cyclotomic_poly(k, x), x)
+                               .all_coeffs()[::-1]]) for k in (3, 4, 5, 6, 7, 8, 10, 12)]
+        rng = random.Random(97)
+
+        def check():
+            count = 0
+            while count < 300:
+                f = rng.choice(cyclotomic) ** rng.choice([1, 1, 1, 2])
+                while f.degree() < 5 or rng.random() < 0.3:
+                    d = rng.randint(1, 8)
+                    mid = [rng.randint(-3, 3) for _ in range(d - 1)]
+                    f = f * IntPoly([rng.choice([1, -1])] + mid + [1])
+                if f.degree() <= 16:
+                    count += 1
+                    assert str(factor_over_Z(f)) == sympy_factorization(sympy, f), f
+
+        with_alarm(60, check)
+        assert 2 in primes
 
 
 def rand_unit_products(seed, count):

@@ -11,6 +11,7 @@ from resnil.errors import (
     NotUnimodular,
     SizeCapExceeded,
 )
+from resnil import zlinalg
 from resnil.intpoly import IntPoly, try_exact_div
 from resnil.zlinalg import (
     IntMatrix,
@@ -31,6 +32,7 @@ from oracles import (
     laplace_det,
     member_by_elimination,
     random_unimodular,
+    with_alarm,
 )
 
 
@@ -38,6 +40,24 @@ def rand_matrix(rng, n, lo=-9, hi=9):
     return IntMatrix.from_rows(
         [[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)]
     )
+
+
+def conjugated_companion(rng, coeffs, steps):
+    # the companion of x^n + c_(n-1) x^(n-1) + ... + c_0 under a seeded
+    # permutation and `steps` transvections E = I + s e_i e_j^T, each
+    # applied as E A E^-1: row i plus s times row j, then column j minus
+    # s times column i
+    n = len(coeffs)
+    C = [[int(i == j + 1) for j in range(n - 1)] + [-coeffs[i]] for i in range(n)]
+    perm = rng.sample(range(n), n)
+    A = [[C[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+    for _ in range(steps):
+        i, j = rng.sample(range(n), 2)
+        s = rng.choice((1, -1))
+        A[i] = [x + s * y for x, y in zip(A[i], A[j])]
+        for row in A:
+            row[j] -= s * row[i]
+    return IntMatrix.from_rows(A)
 
 
 class TestIntMatrix:
@@ -187,15 +207,34 @@ class TestCharPoly:
                 M = rand_matrix(rng, n, -bound, bound)
                 assert list(char_poly(M).coeffs) == faddeev_leverrier(M.to_rows())
 
-    def test_forms_half_the_powers(self, monkeypatch):
-        products = []
-        mul = IntMatrix.__mul__
-        monkeypatch.setattr(IntMatrix, "__mul__", lambda X, Y: products.append(1) or mul(X, Y))
-        rng = random.Random(73)
-        for n in range(10):
-            products.clear()
-            char_poly(rand_matrix(rng, n))
-            assert len(products) == max((n + 1) // 2 - 1, 0)
+    def test_modulus_retry(self, monkeypatch):
+        # N = 2 * 4 * 5 * 5 + 1 = 201 = 3 * 67, and the first column below
+        # the diagonal is 3, -3: no pivot is a unit mod 201, so N = 203
+        moduli = []
+        real = zlinalg._hessenberg_mod
+
+        def hessenberg_mod(rows, N):
+            moduli.append(N)
+            return real(rows, N)
+
+        monkeypatch.setattr(zlinalg, "_hessenberg_mod", hessenberg_mod)
+        rows = [[-2, -1, 1], [3, -2, -1], [-3, 1, 2]]
+        assert list(char_poly(IntMatrix.from_rows(rows)).coeffs) == faddeev_leverrier(rows)
+        assert moduli == [201, 203]
+        assert real(rows, 201) is None
+
+    def test_conjugated_companions_to_rank_160(self):
+        # x^n - 3x - 1 at n = 20..160 under a seeded permutation and 8
+        # transvections; Newton on power traces took 25 s at n = 160
+        rng = random.Random(79)
+
+        def check():
+            for n in range(20, 161, 20):
+                coeffs = [-1, -3] + [0] * (n - 2)
+                A = conjugated_companion(rng, coeffs, 8)
+                assert char_poly(A) == IntPoly(coeffs + [1])
+
+        with_alarm(20, check)
 
 
 class TestKroneckerPower:
