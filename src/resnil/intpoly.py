@@ -35,10 +35,11 @@ Frobenius spreads the bits, so the squarefree test and the pattern
 there cost a few big-int operations; the odd primes use coefficient
 lists.  The scan stops early at an odd prime that leaves at most three
 modular factors without shrinking the intersection, and otherwise runs
-on: 2 alone seldom proves a part whole.  The split prime is the one
-with the fewest modular factors, 2 first among equals.  2 qualifies
-only when each of its distinct-degree parts is one irreducible factor,
-since equal-degree splitting runs at odd primes only.  The factors are
+on even when 2 offers a split, since an odd prime may still prove the
+part whole (3 does for x^8 - x - 1).  The split prime is the one with
+the fewest modular factors, 2 first among equals.  2 qualifies only
+when each of its distinct-degree parts is one irreducible factor, since
+equal-degree splitting runs at odd primes only.  The factors are
 Hensel-lifted just past twice Mignotte's bound for the coefficients of
 a factor of at most half the degree, with the Bezout cofactors lifted
 only while another step follows and no lifting at all when p itself is

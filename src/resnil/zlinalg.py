@@ -235,9 +235,9 @@ def char_poly(M: IntMatrix) -> IntPoly:
     if not M.is_square():
         raise NotSquare("characteristic polynomial needs a square matrix")
     n = M.rows
-    if n <= 2:
-        if n < 2:
-            return IntPoly([-M.entries[0], 1] if n else [1])
+    if n < 2:
+        return IntPoly([-M.entries[0], 1] if n else [1])
+    if n == 2:
         a, b, c, d = M.entries
         return IntPoly([a * d - b * c, -a - d, 1])
     rows = M.to_rows()

@@ -473,7 +473,7 @@ class TestModularShortcuts:
             (IntPoly([1, -1, 1]), 1), (IntPoly([-1, 0, 1, 1]), 1))
         assert scanned == [(2, [2, 3]), (5, [1, 2, 2])]
         assert split == []
-        # x^2 + x + 1 and x^3 + x + 1 mod 2, lifted at 2 (the tree
+        # x^2 + x + 1 and x^3 + x^2 + 1 mod 2, lifted at 2 (the tree
         # recurses on each half)
         assert lifted[0] == (2, [[1, 1, 1], [1, 0, 1, 1]])
         assert {p for p, _ in lifted} == {2}
