@@ -349,7 +349,8 @@ class AfResult:
     """Factor values of char(A) at 1 and what they decide.
 
     nilpotent: no irreducible factor value is +-1.
-    all_primes: every value is 0 (only possible for unipotent A).
+    all_primes: every value is 0: A is unipotent, or the level has no
+    factor at all (L_k = 0 at rank 1 for k >= 2).
     primes: distinct primes dividing every value, i.e. the radical of
     the gcd of the nonzero values; computed on first use, since it
     needs the gcd factored.
@@ -525,6 +526,15 @@ def _moved(g: IntPoly, s: int, inverted: bool = False) -> IntPoly:
     return IntPoly(cs)
 
 
+class _Block:
+    # a factor f of char(A): its multiplicity e, the power sums of the
+    # roots of f^e so far, and its Galois group, "?" until _group decides
+    __slots__ = ("e", "sums", "group")
+
+    def __init__(self, e: int):
+        self.e, self.sums, self.group = e, [], "?"
+
+
 class _GradedFactors:
     """Irreducible factors of the graded components of the action of A,
     by orbit type.  One instance lives for one classification.
@@ -554,76 +564,65 @@ class _GradedFactors:
     2, so such a type is read from P_dual without building its own.
 
     Signs: otherwise each monomial deals the parts of mu out to the
-    blocks f^e of char(A), factored first.  A linear block is x - r,
-    r = +-1 (a unit polynomial has no other integer root); its parts nu
-    multiply the root by r^|nu|, and do not fit when len(nu) > e.  A
-    deal to linear blocks only gives x - s, s the product of the signs;
-    one that reaches one nonlinear block f gives the factors of f's
-    local orbit polynomial, roots times s; only one that reaches two or
-    more builds their combined piece (power sums: the products of the
-    blocks' orbit power sums) and factors it.  Factors are kept per
-    (f, nu) key.
+    blocks f^e of char(A), factored when the instance is made.  A
+    linear block is x - r, r = +-1 (a unit polynomial has no other
+    integer root); its parts nu multiply the root by r^|nu|, and do not
+    fit when len(nu) > e.  A deal to linear blocks only gives x - s, s
+    the product of the signs; one that reaches one nonlinear block f
+    gives the factors of f's local orbit polynomial, roots times s; only
+    one that reaches two or more builds their combined piece (power
+    sums: the products of the blocks' orbit power sums) and factors it.
+    Factors are kept per (f, nu) key, and every other fact of a block
+    in its _Block.
 
-    Per-block certificate: a block f of multiplicity 1 and degree
-    n >= 3 has Galois group S_n when disc f = det(s_(i+j)), the Hankel
-    matrix of its power sums, is not a square (a square puts the group
-    inside A_n) and: n = 3 (an irreducible cubic has group A_3 or S_3);
-    or n = 4 and the resolvent cubic y^3 - c2 y^2 + (c1 c3 - 4 c0) y -
-    (c3^2 c0 - 4 c2 c0 + c1^2) has no integer root (Kappe and Warren,
-    Amer. Math. Monthly 96, 1989); or has_symmetric_galois_group(f).
-    S_n permutes the monomials of a local orbit polynomial
-    transitively, so one of degree above 4 that is squarefree mod one
-    of 3..13 is irreducible.
-
-    A_3 cubics: a cubic block with a square discriminant has group C_3,
-    whose two orbits split a degree-6 local piece into two cubics with
-    constant term -e3^|nu|, e3 = -f(0), read off by _cyclic_pair;
-    factor_over_Z is the fallback.
+    Galois groups: _group(f) decides once whether a block f, of
+    multiplicity 1 and degree n >= 3, has the proven group S_n or A_3.
+    disc f = det(s_(i+j)), the Hankel matrix of its power sums, is a
+    square exactly when the group lies in A_n: then a cubic has A_3,
+    else S_3; a quartic with a non-square disc has S_4 when the
+    resolvent cubic y^3 - c2 y^2 + (c1 c3 - 4 c0) y - (c3^2 c0 -
+    4 c2 c0 + c1^2) has no integer root (Kappe and Warren, Amer. Math.
+    Monthly 96, 1989); above degree 4 has_symmetric_galois_group(f)
+    decides a non-square.  It is asked only for a local piece of one
+    block, of degree above 4.  S_n permutes its monomials transitively,
+    so one squarefree mod one of 3..13 is irreducible; A_3 splits one
+    of degree 6 into two cubics with constant term -e3^|nu|,
+    e3 = -f(0), read off by _cyclic_pair; factor_over_Z is the fallback.
     """
 
     def __init__(self, A: IntMatrix):
         self.n = A.rows
         self.char = char_poly(A)
         self._det = (-1) ** self.n * self.char.constant()
-        self._blocks: Optional[dict] = None  # f_j -> e_j, char(A) = prod f_j^e_j
-        self._block_traces: dict[IntPoly, list[int]] = {}
-        self._symmetric: dict[IntPoly, bool] = {}
-        self._cyclic: set[IntPoly] = set()  # cubic blocks of group A_3
-        self._local: dict[tuple, tuple[IntPoly, ...]] = {}
+        assert abs(self._det) == 1, "orbit factor sets need det A = +-1"
+        # char(A) = prod f^e over the blocks f
+        self._blocks = {f: _Block(e) for f, e in factor_over_Z(self.char).factors}
+        # each block f as its own P_(1), and the empty monomial
+        self._local = {((f, (1,)),): (f,) for f in self._blocks}
+        self._local[()] = (IntPoly((-1, 1)),)
         self._irreducibles: dict[tuple, tuple[IntPoly, ...]] = {}
-        self._unit_free: dict[tuple, bool] = {}
 
     def irreducibles(self, mu: tuple[int, ...]) -> tuple[IntPoly, ...]:
         """The distinct monic irreducible factors of P_mu."""
-        if self._blocks is None:
-            assert abs(self._det) == 1, "orbit factor sets need det A = +-1"
-            self._blocks = dict(factor_over_Z(self.char).factors)
-            # the empty monomial, and each block f as its own P_(1)
-            self._local[()] = (IntPoly((-1, 1)),)
-            for f in self._blocks:
-                self._local[((f, (1,)),)] = (f,)
         if mu not in self._irreducibles:
             dual = _dual(mu, self.n)
-            if sum(dual) < sum(mu):
-                found = self._from_dual(mu[0], dual)
-            else:
+            if sum(dual) >= sum(mu):
                 found = self._from_deals(mu)
+            elif dual:
+                s = self._det ** mu[0]
+                found = [_moved(g, s, inverted=True) for g in self.irreducibles(dual)]
+            else:
+                found = [IntPoly((-self._det ** mu[0], 1))]
             self._irreducibles[mu] = tuple(sorted(set(found), key=IntPoly.sort_key))
         return self._irreducibles[mu]
-
-    def _from_dual(self, t: int, dual: tuple[int, ...]) -> list[IntPoly]:
-        s = self._det**t
-        if not dual:
-            return [IntPoly((-s, 1))]
-        return [_moved(g, s, inverted=True) for g in self.irreducibles(dual)]
 
     def _from_deals(self, mu: tuple[int, ...]) -> list[IntPoly]:
         blocks = list(self._blocks.items())
         found = []
         for deal in _deals(mu, len(blocks)):
             s, key = 1, []
-            for nu, (f, e) in zip(deal, blocks):
-                if len(nu) > e * f.degree():
+            for nu, (f, block) in zip(deal, blocks):
+                if len(nu) > block.e * f.degree():
                     break
                 if f.degree() == 1:
                     s *= (-f.constant()) ** sum(nu)
@@ -639,17 +638,18 @@ class _GradedFactors:
         if key not in self._local:
             P = self._piece(key)
             (f, nu), *rest = key
+            group = None if rest or P.degree() <= 4 else self._group(f)
             found = None
-            if not rest and P.degree() > 4 and self._certified(f) and squarefree_mod_small_prime(P):
+            if group == "S_n" and squarefree_mod_small_prime(P):
                 found = (P,)
-            elif not rest and P.degree() == 6 and f in self._cyclic:
+            elif group == "A_3" and P.degree() == 6:
                 found = _cyclic_pair(P, -(-f.constant()) ** sum(nu))
             self._local[key] = found or tuple(g for g, _ in factor_over_Z(P).factors)
         return self._local[key]
 
     def _piece(self, key: tuple) -> IntPoly:
         degree = math.prod(
-            math.perm(self._blocks[f] * f.degree(), len(nu)) // _orbit_type(nu).symmetry
+            math.perm(self._blocks[f].e * f.degree(), len(nu)) // _orbit_type(nu).symmetry
             for f, nu in key
         )
         sums = [1] * degree
@@ -662,46 +662,44 @@ class _GradedFactors:
         # at least `need` power sums of the roots of f^e; grown
         # geometrically, since each audit level asks for more than the
         # last (deg f more at a quadratic block: 4, 6, ..., 2K)
-        t = self._block_traces.get(f, [])
-        if len(t) < need:
-            e = self._blocks[f]
-            t = [e * s for s in power_sums(f, max(need, 2 * len(t)))]
-            self._block_traces[f] = t
-        return t
+        block = self._blocks[f]
+        if len(block.sums) < need:
+            block.sums = [block.e * s for s in power_sums(f, max(need, 2 * len(block.sums)))]
+        return block.sums
 
-    def _certified(self, f: IntPoly) -> bool:
-        # Gal(f) = S_n for a block f of multiplicity 1 and degree n >= 3
-        if f not in self._symmetric:
-            n = f.degree()
-            ok = self._blocks[f] == 1 and n >= 3
-            if ok:
+    def _group(self, f: IntPoly) -> Optional[str]:
+        # "S_n" or "A_3" when that is the proven Galois group of the
+        # block f, else None
+        block = self._blocks[f]
+        if block.group == "?":
+            n, group = f.degree(), None
+            if block.e == 1 and n >= 3:
                 s = [n] + self._block_sums(f, 2 * n - 2)
                 disc = determinant(IntMatrix.from_rows(s[i : i + n] for i in range(n)))
-                # a square disc, or a reducible resolvent: below S_n
-                smaller = disc > 0 and math.isqrt(disc) ** 2 == disc
-                if n == 3 and smaller:
-                    self._cyclic.add(f)
-                if n == 4 and not smaller:
+                square = disc > 0 and math.isqrt(disc) ** 2 == disc
+                if n == 3:
+                    group = "A_3" if square else "S_n"
+                elif n == 4 and not square:
                     c0, c1, c2, c3, _ = f.coeffs
                     r0 = c3 * c3 * c0 - 4 * c2 * c0 + c1 * c1
-                    smaller = _has_integer_root(IntPoly((-r0, c1 * c3 - 4 * c0, -c2, 1)))
-                ok = not smaller and (n <= 4 or has_symmetric_galois_group(f))
-            self._symmetric[f] = ok
-        return self._symmetric[f]
+                    resolvent = IntPoly((-r0, c1 * c3 - 4 * c0, -c2, 1))
+                    group = None if _has_integer_root(resolvent) else "S_n"
+                elif n > 4 and not square and has_symmetric_galois_group(f):
+                    group = "S_n"
+            block.group = group
+        return block.group
 
     def unit_free(self, mu: tuple[int, ...]) -> bool:
         """True when no irreducible factor of P_mu has the value +-1 at 1;
         a type read from its dual builds no factor of its own."""
-        if mu not in self._unit_free:
-            dual = _dual(mu, self.n)
-            if sum(dual) < sum(mu):
-                # a factor from g has the value +-g(s) at 1, s = det^(mu_1);
-                # an empty dual gives x - s, of value 0 or 2
-                at, gs = self._det ** mu[0], (self.irreducibles(dual) if dual else ())
-            else:
-                at, gs = 1, self.irreducibles(mu)
-            self._unit_free[mu] = all(abs(g.evaluate(at)) != 1 for g in gs)
-        return self._unit_free[mu]
+        dual = _dual(mu, self.n)
+        if sum(dual) < sum(mu):
+            # a factor from g has the value +-g(s) at 1, s = det^(mu_1);
+            # an empty dual gives x - s, of value 0 or 2
+            at, gs = self._det ** mu[0], (self.irreducibles(dual) if dual else ())
+        else:
+            at, gs = 1, self.irreducibles(mu)
+        return all(abs(g.evaluate(at)) != 1 for g in gs)
 
     def level(self, k: int, lie: bool) -> AfResult:
         """Factor values of the tensor level k, or with lie of L_k."""

@@ -472,6 +472,14 @@ class TestAudits:
         assert by_k[2].af_p_finite
         assert by_k[2].af.values() == (2,)
 
+    def test_empty_lie_level_has_every_prime(self):
+        # L_k = 0 at rank 1 for k >= 2: no factor, so every prime divides
+        # all of the (no) values, though A = (-1) is not unipotent
+        recs = lie_component_audit(M([[-1]]), 3, p=3)
+        assert [r.af.factor_values for r in recs] == [((IntPoly((1, 1)), 2),), (), ()]
+        for r in recs[1:]:
+            assert r.af.all_primes and r.af_p_finite and r.af_nilpotent
+
     def test_tensor_pass_implies_lie_pass(self):
         rng = random.Random(199)
         for _ in range(25):
@@ -1009,8 +1017,13 @@ def _factor_sets_agree(graded, K):
         for mu in _partitions(k, graded.n):
             P = _orbit_poly(graded.char, mu)
             assert graded.irreducibles(mu) == tuple(g for g, _ in factor_over_Z(P).factors)
-            certified += P.degree() > 4 and graded._symmetric.get(graded.char, False)
+            certified += P.degree() > 4 and _groups(graded).get(graded.char) == "S_n"
     return certified
+
+
+def _groups(graded):
+    # each block's Galois group as _group left it, "?" where it was never asked
+    return {f: block.group for f, block in graded._blocks.items()}
 
 
 class TestOrbitTypes:
@@ -1133,18 +1146,13 @@ class TestOrbitTypes:
         # combined piece) is taken, and irreducibles(mu) is always the
         # factor set of P_mu built whole
         routes = {"signs": 0, "one block": 0, "dual": 0, "combined": 0}
-        local, from_dual = _GradedFactors._local_factors, _GradedFactors._from_dual
+        local = _GradedFactors._local_factors
 
         def counting_local(graded, key):
             routes[("signs", "one block")[len(key)] if len(key) < 2 else "combined"] += 1
             return local(graded, key)
 
-        def counting_dual(graded, t, dual):
-            routes["dual"] += 1
-            return from_dual(graded, t, dual)
-
         monkeypatch.setattr(_GradedFactors, "_local_factors", counting_local)
-        monkeypatch.setattr(_GradedFactors, "_from_dual", counting_dual)
         rng = random.Random(6301)
 
         def check():
@@ -1153,6 +1161,8 @@ class TestOrbitTypes:
                 graded = _GradedFactors(_signed_block_action(rng, n))
                 for k in range(1, (6 if n == 2 else 4) + 1):
                     for mu in _partitions(k, n):
+                        # P_mu with a smaller dual is read from the dual's factors
+                        routes["dual"] += sum(_dual(mu, n)) < sum(mu)
                         whole = factor_over_Z(_orbit_poly(graded.char, mu)).factors
                         assert graded.irreducibles(mu) == tuple(g for g, _ in whole)
 
@@ -1384,7 +1394,7 @@ class TestSymmetricGalois:
         f = IntPoly([-1, -3, 0, 1])
         graded = _GradedFactors(companion(f))
         assert with_alarm(10, lambda: _factor_sets_agree(graded, 4)) == 0
-        assert graded._symmetric == {f: False}
+        assert _groups(graded) == {f: "A_3"}
 
     def test_cubic_certified_by_its_discriminant(self, monkeypatch):
         # disc(x^3 - 5x + 1) = 473 is not a square, so its group is S_3
@@ -1394,7 +1404,7 @@ class TestSymmetricGalois:
         graded = _GradedFactors(companion(f))
         P = _orbit_poly(graded.char, (2, 1))
         assert with_alarm(5, lambda: graded.irreducibles((2, 1))) == (P,)
-        assert graded._symmetric == {f: True}
+        assert _groups(graded) == {f: "S_n"}
         monkeypatch.undo()
         assert factor_over_Z(P).factors == ((P, 1),)
 
@@ -1497,7 +1507,7 @@ class TestGaloisBlocks:
         for f in A3_CUBICS:
             graded = _GradedFactors(companion(f))
             assert with_alarm(10, lambda: _factor_sets_agree(graded, 6)) == 0
-            assert graded._cyclic == {f}
+            assert _groups(graded) == {f: "A_3"}
         monkeypatch.undo()
         assert 6 not in degrees
 
@@ -1505,8 +1515,7 @@ class TestGaloisBlocks:
         monkeypatch.setattr(criteria, "has_symmetric_galois_group", TestSymmetricGalois._refuse)
         for group, f in QUARTICS.items():
             graded = _GradedFactors(companion(f))
-            graded.irreducibles((1,))
-            assert graded._certified(f) is (group == "S4"), group
+            assert (graded._group(f) == "S_n") is (group == "S4"), group
 
     def test_resolvent_matches_the_prime_scan(self):
         try:
@@ -1523,8 +1532,7 @@ class TestGaloisBlocks:
                 continue
             cases += 1
             graded = _GradedFactors(companion(f))
-            graded.irreducibles((1,))
-            resolvent = graded._certified(f)
+            resolvent = graded._group(f) == "S_n"
             # the scan is sound, so it proves S_4 only where the resolvent does
             assert resolvent or not has_symmetric_galois_group(f), f
             if galois_group is not None:
@@ -1549,11 +1557,30 @@ class TestGaloisBlocks:
 
         with_alarm(60, check)
 
+    def test_each_group_is_decided_once(self, monkeypatch):
+        # over K = 4 of an S_5 and an S_3 block, pieces of degree above 4
+        # ask each block's group many times; the Hankel determinant (by
+        # its side, the block's degree) and the prime scan run once
+        asked, sides, scanned = [], [], []
+        group = _GradedFactors._group
+        monkeypatch.setattr(_GradedFactors, "_group",
+                            lambda graded, f: asked.append(f) or group(graded, f))
+        monkeypatch.setattr(criteria, "determinant",
+                            lambda H: sides.append(H.rows) or determinant(H))
+        monkeypatch.setattr(criteria, "has_symmetric_galois_group",
+                            lambda f: scanned.append(f) or has_symmetric_galois_group(f))
+        graded = _GradedFactors(_block_action(random.Random(6389), [S5, S3]))
+        for k in range(1, 5):
+            graded.level(k, lie=False)
+        assert asked.count(S5) > 1 and asked.count(S3) > 1
+        assert sorted(sides) == [3, 5]
+        assert scanned == [S5]
+        assert _groups(graded) == {S5: "S_n", S3: "S_n"}
+
     def test_multiplicity_two_is_not_certified(self):
         graded = _GradedFactors(_block_action(random.Random(6379), [S3, S3, S4]))
-        graded.irreducibles((1,))
-        assert graded._blocks == {S3: 2, S4: 1}
-        assert not graded._certified(S3) and graded._certified(S4)
+        assert {f: block.e for f, block in graded._blocks.items()} == {S3: 2, S4: 1}
+        assert graded._group(S3) is None and graded._group(S4) == "S_n"
         assert with_alarm(30, lambda: _factor_sets_agree(graded, 3)) == 0
 
 
