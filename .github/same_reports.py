@@ -52,7 +52,11 @@ through ``resnil.cli.main``, as ``perfbench/run.py`` runs it.  So do:
 - high rank at ``--tensor-bound 1``: seeded conjugates of the companion
   of x^n - 3x - 1 for n = 40, 60 and 80, by a signed permutation alone
   and with 3 transvections, where char(A) of rank n is formed and
-  factored and the prime gcd is read from it.
+  factored and the prime gcd is read from it;
+- actions that are not unimodular, refused with exit 2 and their
+  determinant in the message: at rank 3..8 a zero column, two equal
+  rows, det 2 and det -2, and det 10^40 + 1, and an ``--endo`` of rank
+  3 whose abelianization has det 2.
 
 Prints a JSON map from job id to the sha256 of (exit code, stdout,
 stderr).  Two trees that print the same map give every job the same
@@ -287,6 +291,22 @@ def high_rank_jobs(workloads):
                                              "--tensor-bound", "1"]
 
 
+def non_unimodular_jobs(workloads):
+    # (name, argv): refused actions, each naming its determinant
+    rng = random.Random(37)
+    zero_col = [[2, 0, 1], [1, 0, 3], [-1, 0, 4]]
+    equal_rows = [[rng.randint(-3, 3) for _ in range(5)] for _ in range(5)]
+    equal_rows[3] = equal_rows[1][:]
+    det_two = workloads.conjugate(rng, workloads.companion([2, -1, 0, 0]), steps=3)
+    det_minus_two = workloads.conjugate(rng, workloads.companion([-2, 1, 0, 3, 0, 0]), steps=3)
+    det_big = workloads.conjugate(rng, workloads.companion([10**40 + 1] + [0] * 6 + [1]))
+    for name, A in (("zero_column/3", zero_col), ("equal_rows/5", equal_rows),
+                    ("det_two/4", det_two), ("det_minus_two/6", det_minus_two),
+                    ("det_41_digits/8", det_big)):
+        yield f"non_unimodular/{name}", ["--matrix", workloads.lit(A)]
+    yield "non_unimodular/endo_det_two/3", ["--endo", "a->a^2 b; b->b c; c->c"]
+
+
 def literal_jobs():
     # (name, argv, stdin): the jobs of the literal parser and the JSON echo
     big = "0x" + "f" * 3700
@@ -326,6 +346,7 @@ def extra_jobs(workloads):
     yield from galois_jobs(workloads)
     yield from reducible_jobs(workloads)
     yield from high_rank_jobs(workloads)
+    yield from non_unimodular_jobs(workloads)
 
 
 def main(src: str) -> dict:
