@@ -23,7 +23,7 @@ through ``resnil.cli.main``, as ``perfbench/run.py`` runs it.  So do:
 - inputs that pin the order of the size caps and the fiber test: the
   32x32 Kronecker product of [[0,-1],[1,t]] for t = 3..7 and seeded
   conjugates of the companions of x^20 - 3x - 1 and x^40 - 3x - 1 at
-  the default K (exit 3, refused before char(A) is formed), the same
+  the default K (exit 3, refused before char(A) is factored), the same
   for x^17 - x - 1, whose det(A - E) = +-1 decides it (exit 0) though
   17^3 passes the side cap, and [[2,1],[1,1]] at K = 13 (over the cap
   at rank 2);
@@ -158,7 +158,7 @@ def block_actions():
 
 def cap_order(workloads):
     # (name, argv): the jobs whose exit rests on the caps being checked
-    # before char(A), after the fiber test
+    # before char(A) is factored, after the fiber test
     M = [[1]]
     for t in range(3, 8):
         M = [[a * b for a in ra for b in rb] for ra in M for rb in [[0, -1], [1, t]]]

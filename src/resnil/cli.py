@@ -31,6 +31,7 @@ from .intpoly import _power
 from .zlinalg import (
     DEFAULT_SIDE_CAP,
     IntMatrix,
+    det_minus_identity,
     determinant,
 )
 from .liealg import DEFAULT_WITT_CAP
@@ -347,7 +348,7 @@ def _report(
         lines.extend(_matrix_lines(A))
         d = determinant(A)
         t = A.trace()
-        u = determinant(A.minus_identity())
+        u = det_minus_identity(A)
         lines.append(f"    det A = {d}; tr A = {t}; det(A-E) = {u}")
     lines.extend(extra)
     lines.append("")

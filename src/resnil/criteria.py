@@ -57,8 +57,8 @@ from .zlinalg import (
     IntMatrix,
     SubLattice,
     char_poly,
+    det_minus_identity,
     determinant,
-    is_unimodular,
     kronecker_power,  # unused here; perfbench/spans.py wraps this name
     kronecker_side,
 )
@@ -721,7 +721,7 @@ def gamma_omega_is_fiber(A: IntMatrix) -> bool:
     """True when A - E is unimodular, which pins gamma_2 = gamma_omega
     to the whole fiber: series length two, not residually nilpotent."""
     _require_unimodular(A)
-    return is_unimodular(A.minus_identity())
+    return abs(det_minus_identity(A)) == 1
 
 
 def _integer_spectrum(irreducibles: tuple[IntPoly, ...]):
@@ -780,7 +780,7 @@ class AuditRecord:
 
 
 # the caps bound n^k and the Witt dimension at every level; each is
-# checked before char(A) is formed, tensor levels before Lie levels
+# checked before char(A) is factored, tensor levels before Lie levels
 
 
 def _check_tensor_cap(n: int, K: int, side_cap: int) -> None:
@@ -959,7 +959,7 @@ def classify_f2(A: IntMatrix, primes: Iterable[int] = ()) -> Verdict:
     det = _require_unimodular(A)
     req = _validated_primes(primes)
     tr = A.trace()
-    dAe = determinant(A.minus_identity())
+    dAe = det_minus_identity(A)
 
     if abs(dAe) == 1:
         witnesses = [
@@ -1091,9 +1091,9 @@ def classify_general(
     n = A.rows
     K = tensor_bound if tensor_bound is not None else (4 if n == 2 else 3)
     K, req = _check_audit_input(A, K, primes)
-    # det(A - E) = +-1 decides rank >= 3 without the caps, so it is taken
-    # by Bareiss; any other input meets the caps before char(A) is formed
-    dAe = determinant(A.minus_identity())
+    # det(A - E) = +-1, read from char(A), decides rank >= 3 without the
+    # caps; any other input meets the caps before char(A) is factored
+    dAe = det_minus_identity(A)
     fiber = n != 2 and abs(dAe) == 1
     if not fiber:
         _check_tensor_cap(n, K, side_cap)

@@ -1,10 +1,10 @@
 """Exact integer linear algebra.
 
-Determinants (fraction-free Bareiss), characteristic polynomials
-(Hessenberg reduction modulo an odd N past twice a Hadamard bound on
-their coefficients), Kronecker powers, column Hermite normal form,
-Smith normal form with recorded transforms, and sublattice membership.
-No floating point anywhere.
+Characteristic polynomials by Hessenberg reduction modulo an odd N
+past twice a Hadamard bound on their coefficients, cached on each
+matrix, with det M and det(M - E) read from them; Kronecker powers,
+column Hermite normal form, Smith normal form with recorded transforms,
+and sublattice membership.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import math
 import operator
 
 from .errors import DimensionMismatch, NotSquare, NotUnimodular, SizeCapExceeded
-from .intpoly import IntPoly, _ints, _power
+from .intpoly import IntPoly, _ints, _power, _symmetric
 
 __all__ = [
     "IntMatrix",
@@ -24,6 +24,7 @@ __all__ = [
     "SmithForm",
     "DEFAULT_SIDE_CAP",
     "determinant",
+    "det_minus_identity",
     "char_poly",
     "kronecker_power",
     "kronecker_side",
@@ -162,47 +163,25 @@ class IntMatrix:
             raise NotSquare("A - I needs a square matrix")
         return self._minus_identity
 
-    # immutable, so A - E and det A are formed once per matrix
+    # immutable, so A - E and char(A) are formed once per matrix
     _minus_identity = functools.cached_property(lambda self: self - IntMatrix.identity(self.rows))
-    _determinant = functools.cached_property(lambda self: _bareiss(self))
+    _char_poly = functools.cached_property(lambda self: _hessenberg_char_poly(self))
 
     def __str__(self) -> str:
         return str(self.to_rows())
 
 
 def determinant(M: IntMatrix) -> int:
-    """Exact determinant by fraction-free Bareiss elimination."""
+    """det M = (-1)^n char(M)(0), read from the char poly of M."""
     if not M.is_square():
         raise NotSquare("determinant needs a square matrix")
-    return M._determinant
+    return (-1) ** M.rows * M._char_poly.constant()
 
 
-def _bareiss(M: IntMatrix) -> int:
-    n = M.rows
-    if n == 0:
-        return 1
-    a = M.to_rows()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pk = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            ri = a[i]
-            rk = a[k]
-            for j in range(k + 1, n):
-                ri[j] = (ri[j] * pk - aik * rk[j]) // prev
-            ri[k] = 0
-        prev = pk
-    return sign * a[n - 1][n - 1]
+def det_minus_identity(M: IntMatrix) -> int:
+    """det(M - E) = (-1)^n char(M)(1), read from the char poly of M, so
+    M - E is never reduced."""
+    return (-1) ** M.rows * char_poly(M).evaluate(1)
 
 
 def is_unimodular(M: IntMatrix) -> bool:
@@ -230,10 +209,14 @@ def char_poly(M: IntMatrix) -> IntPoly:
     the next odd N.  That loop ends: at a prime N every nonzero entry is
     a unit.  The coefficient of x^(n-1) is checked against -tr M over Z.
     A matrix of side at most 2 is already Hessenberg, and its recurrence
-    runs over Z.
+    runs over Z.  The result is cached on M, so M is reduced once.
     """
     if not M.is_square():
         raise NotSquare("characteristic polynomial needs a square matrix")
+    return M._char_poly
+
+
+def _hessenberg_char_poly(M: IntMatrix) -> IntPoly:
     n = M.rows
     if n < 2:
         return IntPoly([-M.entries[0], 1] if n else [1])
@@ -264,8 +247,7 @@ def char_poly(M: IntMatrix) -> IntPoly:
                 for k, b in enumerate(p[i]):
                     acc[k] -= c * b
         p.append([a % N for a in acc])
-    half = N // 2
-    coeffs = [a - N if a > half else a for a in p[-1]]
+    coeffs = [_symmetric(a, N) for a in p[-1]]
     assert -coeffs[n - 1] == sum(r[i] for i, r in enumerate(rows)), "char poly is not tr M"
     return IntPoly(coeffs)
 
@@ -290,14 +272,15 @@ def _hessenberg_mod(rows: list[list[int]], N: int) -> list[list[int]] | None:
             for row in H:
                 row[piv], row[m] = row[m], row[piv]
         # clear H[i][col] below row m: row i minus u times row m, then, for
-        # the similarity, column m plus u times column i
+        # the similarity, column m plus u times column i.  Left of col, rows
+        # m on are zero; rm[col:] is read per i, as column steps change rm[m]
         inv = pow(H[m][col], -1, N)
         rm = H[m]
         for i in range(m + 1, n):
             u = H[i][col]
             if u:
                 u = u * inv % N
-                H[i] = [(x - u * y) % N for x, y in zip(H[i], rm)]
+                H[i][col:] = [(x - u * y) % N for x, y in zip(H[i][col:], rm[col:])]
                 for row in H:
                     row[m] += u * row[i]
         for row in H:

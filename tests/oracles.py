@@ -262,8 +262,8 @@ def lyndon_words_brute(n: int, k: int) -> list[tuple[int, ...]]:
 
 def laplace_det(rows: list[list[int]]) -> int:
     n = len(rows)
-    if n == 1:
-        return rows[0][0]
+    if n <= 1:
+        return rows[0][0] if n else 1
     total = 0
     for j in range(n):
         if rows[0][j] == 0:

@@ -1081,15 +1081,11 @@ class TestOrbitTypes:
         with pytest.raises(ArithmeticError):
             _orbit_sums((1, 1), [1, 2, 3, 4], 1)
 
-    def test_each_orbit_polynomial_factored_once(self, monkeypatch):
-        calls = {"char_poly": 0, "factor_over_Z": []}
-
-        def counting_char_poly(A):
-            calls["char_poly"] += 1
-            return char_poly(A)
+    def test_each_orbit_polynomial_factored_once(self, monkeypatch, reductions):
+        calls = []
 
         def counting_factor(P):
-            calls["factor_over_Z"].append(P)
+            calls.append(P)
             return factor_over_Z(P)
 
         built = []
@@ -1099,15 +1095,19 @@ class TestOrbitTypes:
             built.append(key)
             return piece(graded, key)
 
-        monkeypatch.setattr(criteria, "char_poly", counting_char_poly)
         monkeypatch.setattr(criteria, "factor_over_Z", counting_factor)
         monkeypatch.setattr(_GradedFactors, "_piece", recording_piece)
         # x^3 - 5x + 1: not a fiber action, so every stage runs
         A = M([[0, 0, -1], [1, 0, 5], [0, 1, 0]])
-        f = char_poly(A)
         classify_general(A, tensor_bound=3)
-        factored = calls["factor_over_Z"][:]
-        assert calls["char_poly"] == 1
+        factored = calls[:]
+        f = char_poly(A)
+        # A is reduced once, for det A, det(A - E) and char(A); the one
+        # other reduction is _group's Hankel matrix of power sums, for
+        # disc f
+        s = [3] + power_sums(f, 4)
+        assert reductions == [A, M([s[i : i + 3] for i in range(3)])]
+        assert A.minus_identity() not in reductions
         # P_(1,1) and P_(1,1,1) come from their duals (1) and (), so only
         # P_(2), P_(3) and P_(2,1) are built, each once
         assert built == [((f, mu),) for mu in [(2,), (3,), (2, 1)]]

@@ -143,11 +143,21 @@ class TestIntMatrix:
 
 class TestDeterminant:
     def test_against_laplace(self):
+        # sides 0..6 with entries up to 2^64, and singular matrices made
+        # from them: a zero column, or a row repeated
         rng = random.Random(41)
-        for _ in range(60):
-            n = rng.randint(1, 4)
-            M = rand_matrix(rng, n)
-            assert determinant(M) == laplace_det(M.to_rows())
+        for n in range(7):
+            for bound in (1, 9, 2**64):
+                for _ in range(4):
+                    rows = rand_matrix(rng, n, -bound, bound).to_rows()
+                    cases = [rows]
+                    if n >= 2:
+                        j, i, k = rng.randrange(n), *rng.sample(range(n), 2)
+                        cases.append([r[:j] + [0] + r[j + 1 :] for r in rows])
+                        cases.append([rows[k] if m == i else r for m, r in enumerate(rows)])
+                    for c in cases:
+                        assert determinant(IntMatrix.from_rows(c)) == laplace_det(c)
+                    assert all(determinant(IntMatrix.from_rows(c)) == 0 for c in cases[1:])
 
     def test_multiplicative(self):
         rng = random.Random(43)
@@ -176,7 +186,7 @@ class TestCharPoly:
             p = char_poly(M)
             assert p.degree() == n
             assert p.leading() == 1
-            assert p.constant() == (-1) ** n * determinant(M)
+            assert p.constant() == (-1) ** n * laplace_det(M.to_rows())
             coeff = p.coeffs[n - 1]
             assert coeff == -M.trace()
 
