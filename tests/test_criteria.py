@@ -766,7 +766,8 @@ class TestClassifyGeneral:
 
     def test_caps_checked_before_char_poly(self):
         # the 64x64 product is over the side cap at the default K = 3;
-        # char(A) and its factors, formed before the caps, ran past 60 s
+        # factoring char(A) before the caps ran past 60 s.  char(A) itself
+        # is formed at the unimodularity check, before the caps
         A = M(unit_kronecker_product(range(3, 9)))
         with pytest.raises(SizeCapExceeded, match=r"^Kronecker power side 64\^3 exceeds cap 4096$"):
             with_alarm(5, lambda: classify_general(A))
